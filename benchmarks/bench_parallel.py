@@ -18,8 +18,8 @@ import time
 from conftest import stream_of
 
 from repro.analysis import Table
-from repro.core import NineCEncoder
-from repro.parallel import ShardedCodec, parallel_encode, plan_shards
+from repro.core import NineCDecoder, NineCEncoder
+from repro.parallel import ShardedDecoder, parallel_encode, plan_shards
 from repro.parallel.proof import compare_case
 
 K = 8
@@ -56,17 +56,21 @@ def test_parallel_encode(benchmark):
         encoder = NineCEncoder(K)
         single_enc = _wall(lambda: encoder.encode(stream))
         encoding = encoder.encode(stream)
-        decoder_codec = ShardedCodec(K, workers=1, executor="serial")
+        decoder = NineCDecoder(K)
         single_dec = _wall(
-            lambda: decoder_codec.decode_stream(
+            lambda: decoder.decode_stream(
                 encoding.stream, encoding.original_length
             )
         )
         for workers in WORKER_COUNTS[1:]:
-            codec = ShardedCodec(K, workers=workers, executor="process")
-            sharded_enc = _wall(lambda: codec.encode(stream))
+            sharded = ShardedDecoder(K, workers=workers, executor="process")
+            sharded_enc = _wall(
+                lambda: parallel_encode(
+                    stream, K, workers=workers, executor="process"
+                )
+            )
             sharded_dec = _wall(
-                lambda: codec.decode_stream(
+                lambda: sharded.decode_stream(
                     encoding.stream, encoding.original_length
                 )
             )

@@ -84,7 +84,15 @@ def cmd_coding_table(args) -> int:
     return 0
 
 
+def _check_workers(args) -> None:
+    if args.workers < 1:
+        raise SystemExit(
+            f"{args.command}: --workers must be >= 1, got {args.workers}"
+        )
+
+
 def cmd_compress(args) -> int:
+    _check_workers(args)
     test_set = _load_data(args)
     if args.workers > 1:
         from .parallel import parallel_encode
@@ -120,6 +128,7 @@ def cmd_compress(args) -> int:
 
 
 def cmd_decompress(args) -> int:
+    _check_workers(args)
     stream_set = TestSet.load(args.input)
     stream = stream_set.to_stream()
     if args.workers > 1 and args.reference:

@@ -30,7 +30,9 @@ spans under :func:`capture_events`, ships the event list back with its
 result, and the service-side tracer :meth:`Tracer.graft_events` them
 under the request's currently-open span, rebasing timestamps into its
 own timeline (the two processes' ``perf_counter`` clocks share no
-epoch, so events are anchored at the enclosing span's start).  A
+epoch, so events are anchored at the enclosing span's start).
+:func:`capture_scope` is that worker-side capture behind an on/off
+flag, shared by the serving layer and the sharded codec.  A
 grafted event list also folds into the aggregate tree, so ``tree()``
 always shows the merged picture.
 
@@ -360,6 +362,28 @@ def capture_events(max_events: int = DEFAULT_MAX_EVENTS):
         yield tracer
     finally:
         _local.tracer = previous
+
+
+@contextmanager
+def capture_scope(capture: bool):
+    """Record this call's library spans when the caller asked for them.
+
+    Yields the capturing tracer (or ``None``).  Runs in a pool worker:
+    instrumentation is force-enabled for the duration and the spans go
+    into a thread-local tracer (:func:`capture_events`), so a
+    thread-pool worker never pollutes its host process's aggregate
+    tree.  The worker ships ``tracer.events()`` back with its result
+    and the caller grafts them under its own span.
+    """
+    if not capture:
+        yield None
+        return
+    previous = _state.set_enabled(True)
+    try:
+        with capture_events() as tracer:
+            yield tracer
+    finally:
+        _state.set_enabled(previous)
 
 
 def span(name: str):

@@ -14,19 +14,19 @@ Entry points:
 * :func:`parallel_encode` / :func:`parallel_encode_file` — sharded
   encode of an in-memory stream or a memory-mapped ``.9ct`` container
   (bounded RSS for test sets larger than RAM);
-* :class:`ShardedDecoder` / :func:`parallel_decode` — sharded decode,
-  either by coordinator scan (general streams) or verified block-offset
-  hints (decoding an :class:`~repro.core.encoder.Encoding`);
-* :class:`ShardedCodec` — both halves behind one object, the shape the
-  CLI ``--workers`` flag and the serve ``workers=`` knob use;
+* :class:`ShardedDecoder` / :func:`parallel_decode` — sharded decode:
+  the coordinator runs the exact single-core scan, workers assemble;
 * :func:`differential_proof` — the oracle-equality grid.
+
+The CLI ``compress`` / ``decompress --workers N`` flags are the one
+production caller; they use :func:`parallel_encode` and
+:func:`parallel_decode`.
 
 When in doubt about worker counts: sharding pays off only when the
 per-block work dwarfs pool spin-up and the one copy into shared
 memory — see ``docs/performance.md`` for the crossover discussion.
 """
 
-from .codec import ShardedCodec
 from .decoder import ShardedDecoder, parallel_decode
 from .encoder import EXECUTORS, parallel_encode, parallel_encode_file
 from .plan import Shard, plan_shards
@@ -39,7 +39,6 @@ __all__ = [
     "ProofReport",
     "Shard",
     "SharedUint8Array",
-    "ShardedCodec",
     "ShardedDecoder",
     "differential_proof",
     "parallel_decode",

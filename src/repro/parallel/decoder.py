@@ -1,33 +1,19 @@
 """Sharded 9C decode with single-core-identical semantics.
 
 A prefix code has no random access: block boundaries in the compressed
-stream are only known after scanning it.  Two sharding strategies deal
-with that, both provably bit-identical to the single-core decoder:
-
-* **Coordinator scan** (:func:`parallel_decode`, the general path):
-  the coordinator runs the *exact* single-core scan
-  (:meth:`~repro.core.decoder.NineCDecoder._scan_blocks`) over the full
-  stream — so strict-mode errors, recovery diagnostics and early-stop
-  behavior are the single-core ones by construction — then shards only
-  the batch *assembly* (masked fills + gathered copies), which is the
-  vectorizable bulk of decode work.  Workers read the stream from one
-  shared segment and write disjoint slices of a shared output segment.
-
-* **Hinted scan** (``block_offsets=``): when trusted per-block stream
-  offsets exist (an :class:`~repro.core.encoder.Encoding`'s own block
-  records), each worker scans *and* assembles its own stream slice
-  independently.  The hints are verified, not believed: a worker whose
-  slice raises, consumes the wrong bit count, or yields the wrong
-  block count reports an anomaly, and the coordinator falls back to
-  the coordinator-scan path.  A clean hinted run is bit-identical by a
-  boundary-induction argument (each shard starts exactly where the
-  single-core scan would have been); an anomalous one is bit-identical
-  because it *is* the single-core path.
+stream are only known after scanning it.  So the coordinator runs the
+*exact* single-core scan
+(:meth:`~repro.core.decoder.NineCDecoder._scan_blocks`) over the full
+stream — strict-mode errors, recovery diagnostics and early-stop
+behavior are the single-core ones by construction — then shards only
+the batch *assembly* (masked fills + gathered copies), which is the
+vectorizable bulk of decode work.  Workers read the stream from one
+shared segment and write disjoint slices of a shared output segment.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -35,8 +21,9 @@ from .. import obs as _obs
 from ..core.bitvec import TernaryVector
 from ..core.codewords import Codebook
 from ..core.decoder import NineCDecoder
-from ..core.errors import DecodeDiagnostics, StreamError
-from .encoder import _capture_scope, _graft_shard_traces, _run_shard_tasks
+from ..core.errors import DecodeDiagnostics
+from ..obs import tracing as _tracing
+from .encoder import _graft_shard_traces, _run_shard_tasks
 from .plan import plan_shards
 from .shm import SharedUint8Array
 
@@ -59,7 +46,7 @@ def _assemble_shard(in_name: str, in_size: int, out_name: str,
                     capture: bool) -> dict:
     """Batch-assemble one shard of pre-scanned blocks (pool worker)."""
     decoder = _shard_decoder(k, codebook)
-    with _capture_scope(capture) as tracer:
+    with _tracing.capture_scope(capture) as tracer:
         with _obs.span("decode.shard"):
             source = SharedUint8Array.attach(in_name, in_size)
             sink = SharedUint8Array.attach(out_name, out_size)
@@ -76,61 +63,12 @@ def _assemble_shard(in_name: str, in_size: int, out_name: str,
     return {"events": tracer.events() if tracer is not None else None}
 
 
-def _scan_assemble_shard(in_name: str, in_size: int, out_name: str,
-                         out_size: int, bit_start: int, bit_stop: int,
-                         expect_blocks: int, out_offset: int, k: int,
-                         codebook: Codebook, capture: bool) -> dict:
-    """Scan + assemble one hinted stream slice (pool worker).
-
-    Verifies the hints instead of trusting them: any
-    :class:`StreamError`, a scan that does not consume exactly
-    ``[bit_start, bit_stop)``, or a block count other than
-    ``expect_blocks`` returns ``ok=False`` and the coordinator falls
-    back to the exact coordinator-scan path.
-    """
-    decoder = _shard_decoder(k, codebook)
-    with _capture_scope(capture) as tracer:
-        with _obs.span("decode.shard"):
-            source = SharedUint8Array.attach(in_name, in_size)
-            sink = SharedUint8Array.attach(out_name, out_size)
-            ok = True
-            try:
-                piece = source.view(bit_start, bit_stop).copy()
-                diagnostics = DecodeDiagnostics()
-                try:
-                    starts, cols, pos, n_blocks = decoder._scan_blocks(
-                        piece, None, diagnostics, recover=False
-                    )
-                except StreamError:
-                    ok = False
-                else:
-                    if (pos != piece.size or n_blocks != expect_blocks
-                            or not diagnostics.clean):
-                        ok = False
-                    else:
-                        decoded = decoder._assemble(
-                            piece, starts, cols, k // 2
-                        )
-                        view = sink.view(
-                            out_offset, out_offset + len(decoded)
-                        )
-                        view[:] = decoded.data
-                        del view
-            finally:
-                source.close()
-                sink.close()
-    return {
-        "ok": ok,
-        "events": tracer.events() if tracer is not None else None,
-    }
-
-
 class ShardedDecoder:
     """Multicore decode front-end over :class:`NineCDecoder`.
 
     Mirrors the single-core decoder's contract: strict-mode errors are
-    the same typed :class:`StreamError` with the same bit offset and
-    block index for any worker count, and
+    the same typed :class:`~repro.core.errors.StreamError` with the
+    same bit offset and block index for any worker count, and
     :attr:`last_diagnostics` matches field-for-field.
     """
 
@@ -143,8 +81,11 @@ class ShardedDecoder:
         self.decoder = NineCDecoder(k, codebook)
         self.k = self.decoder.k
         self.codebook = self.decoder.codebook
-        #: Diagnostics of the most recent decode call.
-        self.last_diagnostics: Optional[DecodeDiagnostics] = None
+
+    @property
+    def last_diagnostics(self) -> Optional[DecodeDiagnostics]:
+        """Diagnostics of the most recent decode call."""
+        return self.decoder.last_diagnostics
 
     def decode_stream(
         self,
@@ -152,68 +93,24 @@ class ShardedDecoder:
         output_length: Optional[int] = None,
         *,
         recover: bool = False,
-        block_offsets: Optional[Sequence[int]] = None,
-        capture: Optional[bool] = None,
     ) -> TernaryVector:
         """Decode ``stream`` across shards; see the module docstring.
 
-        Without ``block_offsets`` the coordinator scans the stream
-        exactly as single-core decode would and shards the assembly.
-        With ``block_offsets`` (trusted-but-verified per-block stream
-        offsets) shards scan independently and any anomaly falls back
-        to the coordinator scan.
+        ``workers=1`` delegates to the single-core decoder.  With obs
+        enabled each shard's spans are captured and grafted under the
+        call's span.
         """
         with _obs.span("parallel.decode"):
-            decoded = self._decode(
-                stream, output_length, recover=recover,
-                block_offsets=block_offsets, capture=capture,
-            )
-        return decoded
-
-    def decode(self, encoding, *, recover: bool = False,
-               capture: Optional[bool] = None) -> TernaryVector:
-        """Decode an :class:`Encoding`, sharding on its block records."""
-        if encoding.k != self.k:
-            raise ValueError(
-                f"encoding used K={encoding.k}, decoder has K={self.k}"
-            )
-        if encoding.codebook != self.codebook:
-            raise ValueError("encoding and decoder use different codebooks")
-        offsets = [record.stream_offset for record in encoding.blocks]
-        return self.decode_stream(
-            encoding.stream, encoding.original_length, recover=recover,
-            block_offsets=offsets, capture=capture,
-        )
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    def _decode(self, stream, output_length, *, recover, block_offsets,
-                capture) -> TernaryVector:
-        if self.workers == 1:
-            return self._delegate(stream, output_length, recover)
-        if block_offsets is not None:
-            result = self._decode_hinted(
-                stream, output_length, list(block_offsets),
-                recover=recover, capture=capture,
-            )
-            if result is not None:
-                return result
-            # anomaly: hints disagreed with the stream — exact path
-        return self._decode_scanned(
-            stream, output_length, recover=recover, capture=capture
-        )
-
-    def _delegate(self, stream, output_length, recover) -> TernaryVector:
-        try:
-            return self.decoder.decode_stream(
+            if self.workers == 1:
+                return self.decoder.decode_stream(
+                    stream, output_length, recover=recover
+                )
+            return self._decode_scanned(
                 stream, output_length, recover=recover
             )
-        finally:
-            self.last_diagnostics = self.decoder.last_diagnostics
 
-    def _decode_scanned(self, stream, output_length, *, recover,
-                        capture) -> TernaryVector:
+    def _decode_scanned(self, stream, output_length, *,
+                        recover) -> TernaryVector:
         """Coordinator scan + sharded batch assembly."""
         if output_length is not None and output_length < 0:
             raise ValueError(
@@ -223,24 +120,17 @@ class ShardedDecoder:
         diagnostics = DecodeDiagnostics()
         data = stream.data
         # the single-core scan, verbatim — including its raises
-        try:
-            starts, cols, pos, block_index = decoder._scan_blocks(
-                data, output_length, diagnostics, recover=recover
-            )
-        except StreamError:
-            self.last_diagnostics = decoder.last_diagnostics
-            raise
+        starts, cols, pos, block_index = decoder._scan_blocks(
+            data, output_length, diagnostics, recover=recover
+        )
         shards = plan_shards(len(cols), self.workers)
         if len(shards) <= 1:
             decoded = decoder._assemble(data, starts, cols, self.k // 2)
-            try:
-                return decoder._finalize(
-                    decoded, output_length, diagnostics, block_index,
-                    pos, recover=recover,
-                )
-            finally:
-                self.last_diagnostics = decoder.last_diagnostics
-        do_capture = _obs.enabled() if capture is None else capture
+            return decoder._finalize(
+                decoded, output_length, diagnostics, block_index, pos,
+                recover=recover,
+            )
+        capture = _obs.enabled()
         out_bits = len(cols) * self.k
         source = SharedUint8Array.from_array(np.ascontiguousarray(data))
         sink = SharedUint8Array.create(out_bits)
@@ -250,7 +140,7 @@ class ShardedDecoder:
                  starts[shard.block_start:shard.block_stop],
                  cols[shard.block_start:shard.block_stop],
                  shard.block_start * self.k, self.k, self.codebook,
-                 do_capture)
+                 capture)
                 for shard in shards
             ]
             results = _run_shard_tasks(
@@ -262,91 +152,12 @@ class ShardedDecoder:
             source.close()
             sink.unlink()
             sink.close()
-        if do_capture and _obs.enabled():
+        if capture:
             _graft_shard_traces("decode", results)
-        try:
-            return decoder._finalize(
-                decoded, output_length, diagnostics, block_index, pos,
-                recover=recover,
-            )
-        finally:
-            self.last_diagnostics = decoder.last_diagnostics
-
-    def _decode_hinted(self, stream, output_length, block_offsets, *,
-                       recover, capture) -> Optional[TernaryVector]:
-        """Independent per-shard scans at hinted block boundaries.
-
-        Returns ``None`` on any anomaly (the caller then runs the exact
-        coordinator-scan path).
-        """
-        if output_length is not None and output_length < 0:
-            raise ValueError(
-                f"output_length must be >= 0, got {output_length}"
-            )
-        n = len(stream)
-        total_blocks = len(block_offsets)
-        if n == 0 or total_blocks == 0:
-            return None
-        # the single-core scan decodes one block past output_length
-        # only at block granularity: ceil(output_length / k) blocks,
-        # but at least one (the produced-counter is checked post-block)
-        if output_length is None:
-            needed = total_blocks
-        else:
-            needed = min(
-                total_blocks, max(1, -(-output_length // self.k))
-            )
-        shards = plan_shards(needed, self.workers)
-        if len(shards) <= 1:
-            return None
-        boundaries = list(block_offsets[:needed]) + [
-            block_offsets[needed] if needed < total_blocks else n
-        ]
-        if boundaries[0] != 0:
-            return None
-        if any(boundaries[i] >= boundaries[i + 1]
-               for i in range(len(boundaries) - 1)):
-            return None
-        if boundaries[-1] > n:
-            return None
-        do_capture = _obs.enabled() if capture is None else capture
-        out_bits = needed * self.k
-        source = SharedUint8Array.from_array(
-            np.ascontiguousarray(stream.data)
+        return decoder._finalize(
+            decoded, output_length, diagnostics, block_index, pos,
+            recover=recover,
         )
-        sink = SharedUint8Array.create(out_bits)
-        try:
-            tasks = [
-                (source.name, source.size, sink.name, out_bits,
-                 boundaries[shard.block_start],
-                 boundaries[shard.block_stop],
-                 shard.num_blocks, shard.block_start * self.k,
-                 self.k, self.codebook, do_capture)
-                for shard in shards
-            ]
-            results = _run_shard_tasks(
-                tasks, _scan_assemble_shard, self.executor, len(shards)
-            )
-            if not all(result["ok"] for result in results):
-                if _obs.enabled():
-                    _obs.counter("parallel.decode.hint_fallbacks").inc()
-                return None
-            decoded = TernaryVector(sink.view().copy())
-        finally:
-            source.unlink()
-            source.close()
-            sink.unlink()
-            sink.close()
-        if do_capture and _obs.enabled():
-            _graft_shard_traces("decode", results)
-        diagnostics = DecodeDiagnostics()
-        try:
-            return self.decoder._finalize(
-                decoded, output_length, diagnostics, needed,
-                boundaries[-1], recover=recover,
-            )
-        finally:
-            self.last_diagnostics = self.decoder.last_diagnostics
 
 
 def parallel_decode(
@@ -358,12 +169,9 @@ def parallel_decode(
     codebook: Optional[Codebook] = None,
     recover: bool = False,
     executor: str = "process",
-    block_offsets: Optional[Sequence[int]] = None,
 ) -> TernaryVector:
     """Functional front-end over :class:`ShardedDecoder`."""
     sharded = ShardedDecoder(
         k, codebook, workers=workers, executor=executor
     )
-    return sharded.decode_stream(
-        stream, output_length, recover=recover, block_offsets=block_offsets
-    )
+    return sharded.decode_stream(stream, output_length, recover=recover)

@@ -20,7 +20,6 @@ largest shard, not the file.
 
 from __future__ import annotations
 
-import contextlib
 from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Sequence
 
@@ -53,22 +52,6 @@ def _shard_encoder(k: int, codebook: Codebook) -> NineCEncoder:
         encoder = NineCEncoder(k, codebook)
         _WORKER_ENCODERS[key] = encoder
     return encoder
-
-
-@contextlib.contextmanager
-def _capture_scope(capture: bool):
-    """Optionally record this worker's spans for grafting.
-
-    Mirrors the serve layer's worker capture: instrumentation is forced
-    on inside the scope and the captured events travel back in the
-    result payload, where the coordinator grafts them under its
-    per-shard ``worker.encode`` span.
-    """
-    if not capture:
-        yield None
-        return
-    with _obs.enabled_scope(True), _tracing.capture_events() as tracer:
-        yield tracer
 
 
 def _load_shard_input(source: tuple, k: int) -> np.ndarray:
@@ -117,7 +100,7 @@ def _encode_shard(source: tuple, k: int, codebook: Codebook,
     coordinator concatenates both and rebuilds global block records.
     """
     encoder = _shard_encoder(k, codebook)
-    with _capture_scope(capture) as tracer:
+    with _tracing.capture_scope(capture) as tracer:
         with _obs.span("encode.shard"):
             grid = _load_shard_input(source, k).reshape(-1, k)
             chosen = encoder._classify(grid)
@@ -160,16 +143,14 @@ def parallel_encode(
     workers: int,
     codebook: Optional[Codebook] = None,
     executor: str = "process",
-    capture: Optional[bool] = None,
 ) -> Encoding:
     """Shard ``data`` by block ranges and encode across processes.
 
     Bit-identical to ``NineCEncoder(k, codebook).encode(data)`` for
     every ``workers`` value — same stream, same block records, same
     case counts.  ``workers <= 1`` (or an input too small to split)
-    simply delegates to the single-core encoder.  ``capture`` forces
-    per-shard span capture on or off; the default follows
-    ``obs.enabled()``.
+    simply delegates to the single-core encoder.  With obs enabled
+    each shard's spans are captured and grafted under the call's span.
     """
     encoder = NineCEncoder(k, codebook)
     if workers < 1:
@@ -182,7 +163,7 @@ def parallel_encode(
     if len(shards) <= 1:
         return encoder.encode(data)
     with _obs.span("parallel.encode"):
-        do_capture = _obs.enabled() if capture is None else capture
+        capture = _obs.enabled()
         shared = SharedUint8Array.from_array(
             np.ascontiguousarray(padded.data)
         )
@@ -190,7 +171,7 @@ def parallel_encode(
             tasks = [
                 (("shm", shared.name, shared.size,
                   shard.block_start * k, shard.block_stop * k),
-                 k, encoder.codebook, do_capture)
+                 k, encoder.codebook, capture)
                 for shard in shards
             ]
             results = _run_shard_tasks(
@@ -202,7 +183,7 @@ def parallel_encode(
         encoding = _combine_shards(
             encoder, original_length, results
         )
-        if do_capture and _obs.enabled():
+        if capture:
             _graft_shard_traces("encode", results)
     if _obs.enabled():
         _record_encoding(encoding)
@@ -216,7 +197,6 @@ def parallel_encode_file(
     workers: int,
     codebook: Optional[Codebook] = None,
     executor: str = "process",
-    capture: Optional[bool] = None,
 ) -> Encoding:
     """Encode a ``.9ct`` binary test set without loading it into RAM.
 
@@ -236,18 +216,18 @@ def parallel_encode_file(
     padded_bits = max(k, ((total + k - 1) // k) * k)
     shards = plan_shards(padded_bits // k, workers)
     with _obs.span("parallel.encode"):
-        do_capture = _obs.enabled() if capture is None else capture
+        capture = _obs.enabled()
         tasks = [
             (("mmap", str(path),
               shard.block_start * k, shard.block_stop * k, total),
-             k, encoder.codebook, do_capture)
+             k, encoder.codebook, capture)
             for shard in shards
         ]
         results = _run_shard_tasks(
             tasks, _encode_shard, executor, max(len(shards), 1)
         )
         encoding = _combine_shards(encoder, total, results)
-        if do_capture and _obs.enabled():
+        if capture:
             _graft_shard_traces("encode", results)
     if _obs.enabled():
         _record_encoding(encoding)

@@ -24,7 +24,8 @@ from ..core.bitvec import X, TernaryVector
 from ..core.decoder import NineCDecoder
 from ..core.encoder import NineCEncoder
 from ..core.errors import StreamError
-from .codec import ShardedCodec
+from .decoder import ShardedDecoder
+from .encoder import parallel_encode
 
 #: The issue's default differential grid.
 DEFAULT_WORKER_COUNTS = (1, 2, 3, 7)
@@ -115,10 +116,10 @@ def compare_case(
     failures: List[str] = []
     oracle_enc = NineCEncoder(k)
     oracle_dec = NineCDecoder(k)
-    codec = ShardedCodec(k, workers=workers, executor=executor)
+    decoder = ShardedDecoder(k, workers=workers, executor=executor)
 
     expected = oracle_enc.encode(data)
-    sharded = codec.encode(data)
+    sharded = parallel_encode(data, k, workers=workers, executor=executor)
     if sharded.stream != expected.stream:
         failures.append("encoded stream differs")
     if sharded.blocks != expected.blocks:
@@ -128,23 +129,19 @@ def compare_case(
     if sharded.original_length != expected.original_length:
         failures.append("original_length differs")
 
-    # decode of the encoding (hinted path) and of the raw stream
-    # (coordinator-scan path) against the single-core decode
     want = oracle_dec.decode(expected)
-    if codec.decode(expected) != want:
-        failures.append("hinted decode output differs")
-    if codec.decode_stream(
+    if decoder.decode_stream(
         expected.stream, expected.original_length
     ) != want:
         failures.append("scanned decode output differs")
-    if _diag_fields(codec.last_diagnostics) != _diag_fields(
+    if _diag_fields(decoder.last_diagnostics) != _diag_fields(
         oracle_dec.last_diagnostics
     ):
         failures.append("decode diagnostics differ")
 
     if check_errors and len(expected.stream) and len(expected.blocks) > 2:
         failures.extend(
-            _compare_error_parity(expected, oracle_dec, codec)
+            _compare_error_parity(expected, oracle_dec, decoder)
         )
 
     return ProofCase(
@@ -164,46 +161,34 @@ def _diag_fields(diag) -> Optional[tuple]:
 
 
 def _compare_error_parity(expected, oracle_dec: NineCDecoder,
-                          codec: ShardedCodec) -> List[str]:
+                          decoder: ShardedDecoder) -> List[str]:
     """Corrupt the stream two ways; errors must match exactly."""
     failures: List[str] = []
-    # an X planted inside a mid-stream codeword desyncs the scan
     middle = expected.blocks[len(expected.blocks) // 2]
-    corrupt = _corrupt(expected.stream, middle.stream_offset)
-    offsets = [record.stream_offset for record in expected.blocks]
-    single = _caught(
-        oracle_dec.decode_stream, corrupt, expected.original_length
+    broken = (
+        # an X planted inside a mid-stream codeword desyncs the scan
+        ("desync", _corrupt(expected.stream, middle.stream_offset)),
+        # a truncated tail must raise the same TruncatedStreamError
+        ("truncation", TernaryVector(expected.stream.data[:-1].copy())),
     )
-    for label, caught in (
-        ("scanned", _caught(codec.decode_stream, corrupt,
-                            expected.original_length)),
-        ("hinted", _caught(codec.decode_stream, corrupt,
-                           expected.original_length,
-                           block_offsets=offsets)),
-    ):
-        if caught != single:
-            failures.append(
-                f"{label} desync error parity: {caught} != {single}"
-            )
-    # a truncated tail must raise the same TruncatedStreamError
-    cut = TernaryVector(expected.stream.data[:-1].copy())
-    single = _caught(
-        oracle_dec.decode_stream, cut, expected.original_length
-    )
-    sharded = _caught(
-        codec.decode_stream, cut, expected.original_length
-    )
-    if sharded != single:
-        failures.append(
-            f"truncation error parity: {sharded} != {single}"
+    for label, stream in broken:
+        single = _caught(
+            oracle_dec.decode_stream, stream, expected.original_length
         )
+        sharded = _caught(
+            decoder.decode_stream, stream, expected.original_length
+        )
+        if sharded != single:
+            failures.append(
+                f"{label} error parity: {sharded} != {single}"
+            )
     return failures
 
 
-def _caught(fn, *args, **kwargs):
+def _caught(fn, *args):
     """The error signature ``fn`` raises, or ``("none",)`` if it returns."""
     try:
-        fn(*args, **kwargs)
+        fn(*args)
     except StreamError as exc:
         return _error_signature(exc)
     return ("none",)

@@ -52,7 +52,6 @@ the bound ``request_id``/``trace_id``.
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import contextvars
 import os
 import random
@@ -113,22 +112,6 @@ def _cached_decoder(k: int) -> NineCDecoder:
     return _WORKER_CACHE.get_or_build(("decoder", k), build)
 
 
-@contextlib.contextmanager
-def _capture_scope(capture: bool):
-    """Record this call's library spans when the caller asked for them.
-
-    Yields the capturing tracer (or ``None``).  Runs in the pool worker:
-    instrumentation is force-enabled for the duration and the spans go
-    into a thread-local tracer, so a thread-pool worker never pollutes
-    the service process's own aggregate tree.
-    """
-    if not capture:
-        yield None
-        return
-    with _obs.enabled_scope(True), _tracing.capture_events() as tracer:
-        yield tracer
-
-
 def _worker_compress_batch(k: int, items: Sequence[str],
                            capture: bool = False) -> dict:
     """Encode every ternary string in ``items`` with one cached encoder.
@@ -144,7 +127,7 @@ def _worker_compress_batch(k: int, items: Sequence[str],
 
     encoder = _cached_encoder(k)
     results: List[dict] = []
-    with _capture_scope(capture) as tracer:
+    with _tracing.capture_scope(capture) as tracer:
         for item in items:
             try:
                 encoding = encoder.encode(TernaryVector(item))
@@ -183,7 +166,7 @@ def _worker_decompress(k: int, stream: str,
 
     decoder = _cached_decoder(k)
     vector = TernaryVector(stream)
-    with _capture_scope(capture) as tracer:
+    with _tracing.capture_scope(capture) as tracer:
         try:
             if mode == "reference":
                 decoded = decoder.decode_reference(
@@ -231,94 +214,11 @@ def _worker_decompress(k: int, stream: str,
     }
 
 
-def _worker_compress_parallel(k: int, data: str, workers: int,
-                              executor: str,
-                              capture: bool = False) -> dict:
-    """Sharded encode of one large stream (the ``workers=`` knob).
-
-    Runs the :mod:`repro.parallel` coordinator inside this pool worker;
-    shard traces graft into the capture tracer, so the request's trace
-    tree shows ``worker.compress`` → ``parallel.encode`` →
-    ``worker.encode`` per shard.  Output is bit-identical to the
-    batch path's single-core encode, so every response invariant holds
-    unchanged.
-    """
-    from ..core.bitvec import TernaryVector
-    from ..parallel import parallel_encode
-
-    with _capture_scope(capture) as tracer:
-        try:
-            encoding = parallel_encode(
-                TernaryVector(data), k, workers=workers,
-                executor=executor,
-            )
-        except ValueError as exc:
-            return {
-                "error": {
-                    "type": type(exc).__name__, "message": str(exc),
-                },
-                "trace": tracer.events() if tracer is not None else None,
-            }
-    return {
-        "stream": encoding.stream.to_string(),
-        "td_bits": encoding.original_length,
-        "te_bits": encoding.compressed_size,
-        "cr_percent": encoding.compression_ratio,
-        "leftover_x": encoding.leftover_x,
-        "workers": workers,
-        "trace": tracer.events() if tracer is not None else None,
-    }
-
-
-def _worker_decompress_parallel(k: int, stream: str,
-                                output_length: Optional[int],
-                                recover: bool, workers: int,
-                                executor: str,
-                                capture: bool = False) -> dict:
-    """Sharded decode of one stream (fast path only).
-
-    The sharded decoder's strict errors and diagnostics are identical
-    to the single-core fast path's, so the stream-error payload shape
-    and the degradation flags behave exactly as in
-    :func:`_worker_decompress`.
-    """
-    from ..core.bitvec import TernaryVector
-    from ..parallel import ShardedDecoder
-
-    decoder = ShardedDecoder(k, workers=workers, executor=executor)
-    with _capture_scope(capture) as tracer:
-        try:
-            decoded = decoder.decode_stream(
-                TernaryVector(stream), output_length, recover=recover
-            )
-        except StreamError as exc:
-            return {
-                "stream_error": {
-                    "type": type(exc).__name__,
-                    "message": str(exc),
-                    "bit_offset": exc.bit_offset,
-                    "block_index": exc.block_index,
-                },
-                "trace": tracer.events() if tracer is not None else None,
-            }
-    diagnostics = decoder.last_diagnostics
-    return {
-        "data": decoded.to_string(),
-        "bits": len(decoded),
-        "path": "fast",
-        "mismatch": False,
-        "recovered_errors": len(diagnostics.errors) if diagnostics else 0,
-        "blocks_lost": diagnostics.blocks_lost if diagnostics else 0,
-        "workers": workers,
-        "trace": tracer.events() if tracer is not None else None,
-    }
-
-
 def _worker_profile(k: int, data: str, capture: bool = False) -> dict:
     """Size/statistics-only measurement of one stream (no encode)."""
     from ..core.bitvec import TernaryVector
 
-    with _capture_scope(capture) as tracer:
+    with _tracing.capture_scope(capture) as tracer:
         measurement = _cached_encoder(k).measure(TernaryVector(data))
     return {
         "k": k,
@@ -347,7 +247,7 @@ def _worker_resilience(circuit: str, k: int, error_rate: float,
     netlist = _WORKER_CACHE.get_or_build(
         ("netlist", circuit), lambda: load_circuit(circuit)
     )
-    with _capture_scope(capture) as tracer:
+    with _tracing.capture_scope(capture) as tracer:
         report = run_campaign(
             netlist, k=k, error_rates=(error_rate,), trials=trials,
             channel=channel, seed=seed, circuit_name=circuit,
@@ -392,8 +292,6 @@ class ServiceConfig:
     enable_obs: bool = True            # a service wants its metrics on
     trace_requests: bool = True        # per-request trace trees (needs obs)
     trace_capacity: int = 64           # recent traces kept for the trace op
-    max_parallel_workers: int = 1      # cap for a request's workers= knob
-    parallel_executor: str = "process"  # process | serial shard scheduling
 
     def __post_init__(self):
         if self.executor not in ("process", "thread", "inline"):
@@ -406,13 +304,6 @@ class ServiceConfig:
             raise ValueError("max_inflight must be >= 1")
         if self.max_queue < 0:
             raise ValueError("max_queue must be >= 0")
-        if self.max_parallel_workers < 1:
-            raise ValueError("max_parallel_workers must be >= 1")
-        if self.parallel_executor not in ("process", "serial"):
-            raise ValueError(
-                f"parallel_executor must be process|serial, "
-                f"got {self.parallel_executor!r}"
-            )
 
 
 # ----------------------------------------------------------------------
@@ -657,11 +548,12 @@ class CompressionService:
         """breaker -> bounded retry -> executor, for one worker job.
 
         Dict results may carry a ``"trace"`` event list from the worker
-        (see :func:`_capture_scope`); it is popped here — never leaked
-        into a response — and grafted into the current request's trace
-        under this job's ``worker.<op>`` span, or handed to ``on_trace``
-        when the caller routes it elsewhere (the batch seam, where one
-        worker call serves several requests).
+        (see :func:`~repro.obs.tracing.capture_scope`); it is popped
+        here — never leaked into a response — and grafted into the
+        current request's trace under this job's ``worker.<op>`` span,
+        or handed to ``on_trace`` when the caller routes it elsewhere
+        (the batch seam, where one worker call serves several
+        requests).
         """
         breaker = self.breakers.breaker(route)
         breaker.before_call()
@@ -868,22 +760,6 @@ class CompressionService:
             )
         return k
 
-    def _param_workers(self, params: dict) -> int:
-        """The request's ``workers`` knob, validated against the cap."""
-        workers = params.get("workers", 1)
-        if (not isinstance(workers, int) or isinstance(workers, bool)
-                or workers < 1):
-            raise BadRequestError(
-                "workers must be a positive integer", got=repr(workers)
-            )
-        cap = self.config.max_parallel_workers
-        if workers > cap:
-            raise BadRequestError(
-                "workers exceeds the service's parallel cap",
-                workers=workers, max_parallel_workers=cap,
-            )
-        return workers
-
     def _circuit_stream(self, name: str) -> str:
         """The circuit's ATPG test stream as a ternary string (cached)."""
         def build() -> str:
@@ -903,7 +779,6 @@ class CompressionService:
     # -- op: compress ---------------------------------------------------
     async def _op_compress(self, params: dict):
         k = self._param_k(params)
-        workers = self._param_workers(params)
         items = params.get("items")
         data = params.get("data")
         circuit = params.get("circuit")
@@ -913,28 +788,6 @@ class CompressionService:
             )
         if circuit is not None:
             data = self._circuit_stream(str(circuit))
-        if workers > 1:
-            # one large request fanned across cores: bypass the
-            # micro-batch (its whole point is amortizing *small* calls)
-            # and let the sharded coordinator own the parallelism
-            if data is None:
-                raise BadRequestError(
-                    "workers > 1 requires a single-stream compress "
-                    "(data or circuit, not items)"
-                )
-            result = await self._run_job(
-                ("compress", k), _worker_compress_parallel, k,
-                str(data), workers, self.config.parallel_executor,
-                _request_trace.get() is not None,
-            )
-            if "error" in result:
-                raise BadRequestError(
-                    f"encode failed: {result['error']['message']}",
-                    type=result["error"]["type"],
-                )
-            payload = dict(result)
-            payload["k"] = k
-            return payload, False, ()
         if data is not None:
             results = [await self._enqueue_compress(k, str(data))]
             single = True
@@ -1039,7 +892,6 @@ class CompressionService:
                 got=repr(output_length),
             )
         recover = bool(params.get("recover", False))
-        workers = self._param_workers(params)
         route = ("decompress", k)
         flags: List[str] = []
         degraded = False
@@ -1059,21 +911,10 @@ class CompressionService:
             "decompress", kind="corrupt_fast"
         ) is not None
 
-        if workers > 1 and mode == "fast" and not corrupt:
-            # sharded decode only replaces the plain fast path: verify
-            # cadence, degraded routes and chaos corruption keep their
-            # single-core semantics untouched
-            result = await self._run_job(
-                route, _worker_decompress_parallel, k, stream,
-                output_length, recover, workers,
-                self.config.parallel_executor,
-                _request_trace.get() is not None,
-            )
-        else:
-            result = await self._run_job(
-                route, _worker_decompress, k, stream, output_length,
-                mode, recover, corrupt, _request_trace.get() is not None,
-            )
+        result = await self._run_job(
+            route, _worker_decompress, k, stream, output_length,
+            mode, recover, corrupt, _request_trace.get() is not None,
+        )
         if "stream_error" in result:
             info = result["stream_error"]
             _log.warning("serve.stream_error", type=info["type"],

@@ -269,6 +269,42 @@ class TestJsonErrorPaths:
             main(["compress", str(missing)])
 
 
+class TestWorkersValidation:
+    """--workers below 1 is a typed usage error, never a silent run."""
+
+    @pytest.mark.parametrize("workers", ["0", "-5"])
+    def test_compress_rejects(self, workers):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["compress", "--benchmark", "s5378",
+                  "--workers", workers])
+        assert excinfo.value.code == (
+            f"compress: --workers must be >= 1, got {workers}"
+        )
+
+    def test_compress_json_emits_structured_error(self, capsys):
+        import json
+
+        exit_code = main(["compress", "--benchmark", "s5378", "--json",
+                          "--workers", "0"])
+        assert exit_code == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == {
+            "command": "compress",
+            "message": "compress: --workers must be >= 1, got 0",
+        }
+
+    def test_decompress_rejects(self, tmp_path):
+        stream = tmp_path / "stream.test"
+        TestSet.from_strings(["0"], name="s").save(stream)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["decompress", str(stream), "--k", "8", "--cells", "8",
+                  "-o", str(tmp_path / "out.test"), "--workers", "-2"])
+        assert excinfo.value.code == (
+            "decompress: --workers must be >= 1, got -2"
+        )
+        assert not (tmp_path / "out.test").exists()
+
+
 class TestProfileCommand:
     def test_profile_json_writes_baseline(self, tmp_path, capsys):
         import json

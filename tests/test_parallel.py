@@ -6,7 +6,6 @@ The headline assertion is the differential proof: for every tested
 case counts, decoded output, diagnostics, and raised-error identity.
 """
 
-import asyncio
 import subprocess
 import sys
 
@@ -19,9 +18,8 @@ from repro.core.decoder import NineCDecoder
 from repro.core.encoder import NineCEncoder
 from repro.core.errors import StreamError
 from repro.core.io import save_test_set_binary
-from repro.obs import get_registry
 from repro.parallel import (
-    ShardedCodec,
+    ShardedDecoder,
     SharedUint8Array,
     differential_proof,
     parallel_decode,
@@ -160,9 +158,9 @@ class TestErrorParity:
         stream = TernaryVector(corrupt)
 
         def caught(workers):
-            codec = ShardedCodec(8, workers=workers, executor="serial")
+            decoder = ShardedDecoder(8, workers=workers, executor="serial")
             with pytest.raises(StreamError) as excinfo:
-                codec.decode_stream(stream, encoding.original_length)
+                decoder.decode_stream(stream, encoding.original_length)
             return excinfo.value
 
         oracle = caught(1)
@@ -185,82 +183,34 @@ class TestErrorParity:
         )
         want_diag = oracle.last_diagnostics
         for workers in (2, 3):
-            codec = ShardedCodec(8, workers=workers, executor="serial")
-            got = codec.decode_stream(
+            decoder = ShardedDecoder(8, workers=workers, executor="serial")
+            got = decoder.decode_stream(
                 stream, encoding.original_length, recover=True
             )
             assert got == want
-            diag = codec.last_diagnostics
+            diag = decoder.last_diagnostics
             assert diag.blocks_decoded == want_diag.blocks_decoded
             assert diag.blocks_lost == want_diag.blocks_lost
             assert diag.first_error_offset == want_diag.first_error_offset
 
 
-# ----------------------------------------------------------------------
-# hinted decode: trusted-but-verified block offsets
-# ----------------------------------------------------------------------
-class TestHintedDecode:
-    def test_hints_from_encoding_records(self):
-        data = load_target_stream("s27")
-        encoding = NineCEncoder(8).encode(data)
-        want = NineCDecoder(8).decode(encoding)
-        codec = ShardedCodec(8, workers=3, executor="serial")
-        assert codec.decode(encoding) == want
-
-    def test_misaligned_hint_falls_back_to_exact(self):
-        # a hint offset landing inside a codeword makes that shard's
-        # verification scan fail -> the decode must fall back to the
-        # coordinator scan and still produce the oracle's output
-        data = load_target_stream("s27")
-        encoding = NineCEncoder(8).encode(data)
-        want = NineCDecoder(8).decode_stream(
-            encoding.stream, encoding.original_length
-        )
-        offsets = [r.stream_offset for r in encoding.blocks]
-        bad = list(offsets)
-        bad[len(bad) // 2] += 1  # now inside the previous codeword
-        codec = ShardedCodec(8, workers=3, executor="serial")
-        obs.reset()
-        with obs.enabled_scope(True):
-            got = codec.decode_stream(
-                encoding.stream, encoding.original_length,
-                block_offsets=bad,
-            )
-            fallbacks = get_registry().snapshot()["counters"].get(
-                "parallel.decode.hint_fallbacks", 0
-            )
-        obs.reset()
-        assert got == want
-        assert fallbacks == 1
-
-    def test_invalid_boundaries_fall_back(self):
-        data = load_target_stream("s27")
-        encoding = NineCEncoder(8).encode(data)
-        want = NineCDecoder(8).decode_stream(
-            encoding.stream, encoding.original_length
-        )
-        codec = ShardedCodec(8, workers=2, executor="serial")
-        for bad in ([5, 1, 9], [1], [0, 10**9]):
-            assert codec.decode_stream(
-                encoding.stream, encoding.original_length,
-                block_offsets=bad,
-            ) == want
-
+class TestScannedDecode:
     def test_early_stop_semantics_match(self):
         # output_length shorter than the stream's coverage: the oracle
-        # stops after ceil(output_length / K) blocks; hinted sharding
-        # must decode exactly the same prefix
+        # stops after ceil(output_length / K) blocks; the coordinator
+        # scan must stop at the same block and the shards must
+        # assemble exactly that prefix
         data = load_target_stream("s27")
         encoding = NineCEncoder(8).encode(data)
-        offsets = [r.stream_offset for r in encoding.blocks]
         oracle = NineCDecoder(8)
-        codec = ShardedCodec(8, workers=3, executor="serial")
-        for length in (1, 8, 9, 24, encoding.original_length):
-            want = oracle.decode_stream(encoding.stream, length)
-            got = codec.decode_stream(
-                encoding.stream, length, block_offsets=offsets
-            )
-            assert got == want, length
+        for workers in (2, 3, 7):
+            decoder = ShardedDecoder(8, workers=workers, executor="serial")
+            for length in (1, 8, 9, 24, encoding.original_length):
+                want = oracle.decode_stream(encoding.stream, length)
+                got = decoder.decode_stream(encoding.stream, length)
+                assert got == want, (workers, length)
+                assert (decoder.last_diagnostics.blocks_decoded
+                        == oracle.last_diagnostics.blocks_decoded)
 
 
 # ----------------------------------------------------------------------
@@ -335,81 +285,6 @@ class TestEncodeFile:
             f"mmap encode grew RSS by {mmap_grown} bytes vs "
             f"{full_grown} for the full-load path"
         )
-
-
-# ----------------------------------------------------------------------
-# serve integration: the workers= knob
-# ----------------------------------------------------------------------
-class TestServeWorkersKnob:
-    def _config(self):
-        from repro.serve import ServiceConfig
-
-        return ServiceConfig(
-            executor="inline", enable_obs=False,
-            max_parallel_workers=4, parallel_executor="serial",
-        )
-
-    def _call(self, op, params):
-        from repro.serve import CompressionService
-        from repro.serve.server import Client
-
-        async def scenario():
-            service = CompressionService(self._config())
-            await service.start()
-            try:
-                return await Client(service).call(op, params)
-            finally:
-                await service.close()
-
-        return asyncio.run(scenario())
-
-    def test_parallel_compress_matches_single(self):
-        data = load_target_stream("s27").to_string()
-        single = self._call("compress", {"k": 8, "data": data})
-        sharded = self._call(
-            "compress", {"k": 8, "data": data, "workers": 2}
-        )
-        assert single["ok"] and sharded["ok"]
-        for key in ("te_bits", "td_bits", "cr_percent"):
-            assert sharded["result"][key] == single["result"][key]
-        assert sharded["result"]["workers"] == 2
-
-    def test_parallel_decompress_matches_single(self):
-        data = load_target_stream("s27")
-        encoding = NineCEncoder(8).encode(data)
-        params = {
-            "k": 8, "stream": encoding.stream.to_string(),
-            "output_length": encoding.original_length,
-        }
-        single = self._call("decompress", params)
-        sharded = self._call("decompress", {**params, "workers": 3})
-        assert single["ok"] and sharded["ok"]
-        assert sharded["result"]["data"] == single["result"]["data"]
-        assert sharded["result"]["workers"] == 3
-
-    def test_workers_above_cap_rejected(self):
-        data = load_target_stream("s27").to_string()
-        response = self._call(
-            "compress", {"k": 8, "data": data, "workers": 64}
-        )
-        assert response["ok"] is False
-        assert response["error"]["code"] == "bad_request"
-
-    def test_workers_invalid_rejected(self):
-        data = load_target_stream("s27").to_string()
-        for bad in (0, -1, "two", True):
-            response = self._call(
-                "compress", {"k": 8, "data": data, "workers": bad}
-            )
-            assert response["ok"] is False, bad
-
-    def test_workers_with_batch_items_rejected(self):
-        data = load_target_stream("s27").to_string()
-        response = self._call(
-            "compress", {"k": 8, "items": [data, data], "workers": 2}
-        )
-        assert response["ok"] is False
-        assert response["error"]["code"] == "bad_request"
 
 
 # ----------------------------------------------------------------------
