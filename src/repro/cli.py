@@ -93,15 +93,12 @@ def _check_workers(args) -> None:
 
 def cmd_compress(args) -> int:
     _check_workers(args)
-    test_set = _load_data(args)
-    if args.workers > 1:
-        from .parallel import parallel_encode
+    from .parallel import parallel_encode
 
-        encoding = parallel_encode(
-            test_set.to_stream(), args.k, workers=args.workers
-        )
-    else:
-        encoding = NineCEncoder(args.k).encode(test_set.to_stream())
+    test_set = _load_data(args)
+    encoding = parallel_encode(
+        test_set.to_stream(), args.k, workers=args.workers
+    )
     if args.output:
         TestSet([encoding.stream], name="compressed").save(args.output)
     if args.json:
@@ -131,20 +128,22 @@ def cmd_decompress(args) -> int:
     _check_workers(args)
     stream_set = TestSet.load(args.input)
     stream = stream_set.to_stream()
-    if args.workers > 1 and args.reference:
-        raise SystemExit("--workers requires the fast path (not --reference)")
-    if args.workers > 1:
+    if args.reference:
+        if args.workers > 1:
+            raise SystemExit(
+                "--workers requires the fast path (not --reference)"
+            )
+        decoded = NineCDecoder(args.k).decode_stream(
+            stream, output_length=args.length, fast=False
+        )
+        path = "reference"
+    else:
         from .parallel import parallel_decode
 
         decoded = parallel_decode(
             stream, args.k, output_length=args.length, workers=args.workers
         )
-        path = f"fast, {args.workers} workers"
-    else:
-        decoded = NineCDecoder(args.k).decode_stream(
-            stream, output_length=args.length, fast=not args.reference
-        )
-        path = "reference" if args.reference else "fast"
+        path = "fast"
     out = TestSet.from_stream(decoded, args.cells, name="decompressed")
     out.save(args.output)
     print(f"decoded {len(decoded)} bits into {out.num_patterns} patterns "
@@ -924,8 +923,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=8)
     p.add_argument("-o", "--output")
     p.add_argument("--workers", type=int, default=1,
-                   help="shard the encode across N worker processes "
-                        "(bit-identical to --workers 1)")
+                   help="N >= 1; has no effect: every N runs the "
+                        "single-core encoder (docs/performance.md)")
     p.add_argument("--json", action="store_true",
                    help="machine-readable output")
     p.set_defaults(func=cmd_compress)
@@ -937,8 +936,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=int, default=None)
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--workers", type=int, default=1,
-                   help="shard the decode across N worker processes "
-                        "(fast path only; bit-identical to --workers 1)")
+                   help="N >= 1, and 1 with --reference; has no effect: "
+                        "every N runs the single-core decoder")
     path = p.add_mutually_exclusive_group()
     path.add_argument("--fast", action="store_true", default=True,
                       help="vectorized decode path (default)")
@@ -1094,7 +1093,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=8)
     p.add_argument("--scenarios", nargs="+",
                    choices=["compress", "decompress", "decode", "session",
-                            "resilience", "compaction", "parallel"],
+                            "resilience", "compaction"],
                    help="subset of scenarios to run (default: all)")
     p.add_argument("--session-circuit", default=None,
                    help="netlist for session/resilience when the target is "

@@ -247,10 +247,7 @@ class NineCDecoder:
         loop's, verbatim: in strict mode the typed :class:`StreamError`
         is raised (diagnostics filed under :attr:`last_diagnostics`
         first); with ``recover`` the error is recorded in
-        ``diagnostics`` and the scan stops.  The sharded decoder in
-        :mod:`repro.parallel` runs this exact scan on its coordinator,
-        which is why error offsets and diagnostics are identical for
-        any worker count.
+        ``diagnostics`` and the scan stops.
         """
         n = int(data.size)
         half = self.k // 2

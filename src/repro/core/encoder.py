@@ -27,7 +27,7 @@ Three implementations are provided and tested against each other:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -208,7 +208,9 @@ class NineCEncoder:
         ``chosen`` the case column per row (from :meth:`_classify`).
         Because blocks are independent given (K, codebook), assembling
         any contiguous row range yields exactly that slice of the full
-        stream — the property :mod:`repro.parallel` shards on.
+        stream — the property
+        :func:`repro.parallel.parallel_encode_file` relies on when it
+        encodes a ``.9ct`` container window by window.
         """
         half = self.k // 2
         cases = list(BlockCase)
@@ -231,8 +233,8 @@ class NineCEncoder:
         """Block records for a full run of classified case columns.
 
         Stream offsets fall out of a cumulative sum of per-case encoded
-        sizes, so records for shard-concatenated ``chosen`` arrays come
-        out globally correct without any per-shard offset fixup.
+        sizes, so records for window-concatenated ``chosen`` arrays come
+        out globally correct without any per-window offset fixup.
         """
         cases = list(BlockCase)
         sizes = np.asarray(
@@ -287,32 +289,36 @@ class NineCEncoder:
     def _classify(self, grid: np.ndarray) -> np.ndarray:
         """Cheapest-feasible case *column index* for every grid row.
 
-        Same rule as :meth:`select_case`: among feasible cases pick the
-        minimum encoded size, ties resolving to the lower case index
-        (``argmin`` keeps the first minimum, matching the strict ``<``
-        of the scalar loop).
+        Same rule as :meth:`select_case`: the cases are walked in
+        ``(encoded size, column)`` order and each still-open row takes
+        the first one feasible for it, so ties resolve to the lower
+        case index like the scalar loop's strict ``<``.  C9 is always
+        feasible, so every row closes.  Working memory stays a few
+        boolean columns: an ``argmin`` over an ``(n_blocks, 9)`` int64
+        cost matrix would hold 13.5 MB at 6 Mbit and K=32.
         """
         half = self.k // 2
-        left, right = grid[:, :half], grid[:, half:]
-
-        def flags(half_grid: np.ndarray):
-            zero_ok = ~np.any(half_grid == ONE, axis=1)
-            one_ok = ~np.any(half_grid == ZERO, axis=1)
-            return zero_ok, one_ok
-
-        half_flags = {0: flags(left), 1: flags(right)}
-        n_blocks = grid.shape[0]
-        costs = np.full((n_blocks, len(BlockCase)), np.iinfo(np.int64).max, dtype=np.int64)
-        for column, case in enumerate(BlockCase):
-            feasible = np.ones(n_blocks, dtype=bool)
-            for side, kind in enumerate(case.halves):
-                zero_ok, one_ok = half_flags[side]
-                if kind is HalfKind.ZEROS:
-                    feasible &= zero_ok
-                elif kind is HalfKind.ONES:
-                    feasible &= one_ok
-            costs[feasible, column] = self.codebook.encoded_size(case, self.k)
-        return np.argmin(costs, axis=1)
+        ok: Dict[Tuple[int, HalfKind], np.ndarray] = {}
+        for side, half_grid in enumerate((grid[:, :half], grid[:, half:])):
+            ok[side, HalfKind.ZEROS] = ~np.any(half_grid == ONE, axis=1)
+            ok[side, HalfKind.ONES] = ~np.any(half_grid == ZERO, axis=1)
+        cases = list(BlockCase)
+        order = sorted(
+            range(len(cases)),
+            key=lambda column: (
+                self.codebook.encoded_size(cases[column], self.k), column
+            ),
+        )
+        chosen = np.empty(grid.shape[0], dtype=np.int8)
+        open_rows = np.ones(grid.shape[0], dtype=bool)
+        for column in order:
+            take = open_rows.copy()
+            for side, kind in enumerate(cases[column].halves):
+                if kind is not HalfKind.MISMATCH:
+                    take &= ok[side, kind]
+            chosen[take] = column
+            open_rows &= ~take
+        return chosen
 
     def measure(self, data: TernaryVector) -> Measurement:
         """Case counts, |T_E| and leftover-X without building the stream.

@@ -19,8 +19,9 @@ binary container (``.9ct``): a 13-byte header followed by one uint8
 ternary code per scan cell, row-major.  Unlike the text format it can
 be **memory-mapped** — :func:`memmap_stream` yields a zero-copy
 read-only :class:`TernaryVector` over the payload, so a multi-GB
-``T_D`` encodes in bounded RSS (each :mod:`repro.parallel` shard
-touches only its own block range's pages).
+``T_D`` encodes in bounded RSS
+(:func:`repro.parallel.parallel_encode_file` maps one window of blocks
+at a time).
 """
 
 from __future__ import annotations
@@ -116,20 +117,26 @@ def memmap_stream(
     ``np.memmap`` — no page of the payload is read until touched, so
     callers that process block ranges keep RSS bounded by their working
     set, not the file size.  ``validate=True`` range-checks every code,
-    which pages in the whole file; leave it off for the streaming path
-    (the header's size check already rejects structurally bad files,
-    and the decoder rejects out-of-range symbols where they matter).
+    which pages in the whole file; a streaming caller checks each
+    window it maps with :func:`check_codes` instead, as
+    :func:`repro.parallel.parallel_encode_file` does.
     """
     header = read_binary_header(path)
     payload = np.memmap(
         path, dtype=np.uint8, mode="r",
         offset=header.payload_offset, shape=(header.total_bits,),
     )
-    if validate and payload.size and payload.max(initial=0) > X:
+    if validate:
+        check_codes(path, payload)
+    return TernaryVector._wrap(payload), header
+
+
+def check_codes(path: PathLike, payload: np.ndarray) -> None:
+    """Raise ``ValueError`` if ``payload`` holds a code outside {0, 1, 2}."""
+    if payload.max(initial=0) > X:
         raise ValueError(
             f"{path}: payload contains codes outside {{0, 1, 2}}"
         )
-    return TernaryVector._wrap(payload), header
 
 
 def load_test_set_binary(path: PathLike):
@@ -182,11 +189,16 @@ def loads(text: str) -> Encoding:
         if required not in fields:
             raise ValueError(f"missing field {required!r} in .9c container")
     k = int(fields["k"])
+    if k < 2 or k % 2:
+        raise ValueError(f"k must be an even integer >= 2, got {k}")
     original_length = int(fields["length"])
     lengths = {}
     for item in fields["lengths"].split(","):
         name, _, bits = item.partition(":")
-        lengths[BlockCase[name.strip()]] = int(bits)
+        case = BlockCase.__members__.get(name.strip())
+        if case is None:
+            raise ValueError(f"unknown case {name.strip()!r} in lengths=")
+        lengths[case] = int(bits)
     codebook = Codebook(canonical_codewords(lengths))
     stream = TernaryVector.from_string(fields["stream"])
 

@@ -7,7 +7,7 @@ instrumentation enabled and produces a baseline record::
      "spans": {<span tree>}, "metrics": {<registry snapshot>},
      "extra": {scenario-specific facts}}
 
-The five scenarios:
+The six scenarios:
 
 ``compress``
     9C-encode the target's test data (vectorized fast path).
@@ -29,12 +29,6 @@ The five scenarios:
 ``compaction``
     An X-density × compactor detection-loss sweep
     (:func:`repro.compaction.run_sweep`) on the same netlist.
-``parallel``
-    Sharded 2-worker encode via :mod:`repro.parallel` (serial executor
-    for deterministic span trees), plus an uninstrumented single-core
-    vs process-sharded timing comparison in ``extra``
-    (``single_core_wall_s`` / ``sharded_wall_s`` / ``speedup`` /
-    ``identical_output``).
 
 The target may be a benchmark profile name (``s9234`` — scenarios that
 need a gate-level netlist then run on a small surrogate circuit,
@@ -68,7 +62,7 @@ DEFAULT_BASELINE_PATH = "BENCH_obs.json"
 #: Scenario names in run order.
 SCENARIOS: Tuple[str, ...] = (
     "compress", "decompress", "decode", "session", "resilience",
-    "compaction", "parallel",
+    "compaction",
 )
 
 #: Bump when the baseline layout changes shape.
@@ -85,8 +79,7 @@ DEFAULT_SESSION_CIRCUIT = "g64"
 #: scrubbing discipline.
 VOLATILE_KEYS = frozenset(
     {"wall_s", "bits_per_s", "reference_wall_s", "vectorized_wall_s",
-     "speedup", "baseline_wall_s", "fresh_wall_s", "ratio", "timestamp",
-     "single_core_wall_s", "sharded_wall_s"}
+     "speedup", "baseline_wall_s", "fresh_wall_s", "ratio", "timestamp"}
 )
 
 
@@ -363,28 +356,6 @@ def run_profile(
                 },
             )
             report.scenarios["compaction"] = baseline
-
-        if "parallel" in scenarios:
-            from ..parallel import parallel_encode, plan_shards
-
-            workers = 2
-            encoding_p, baseline = _measure(
-                len(data),
-                lambda: parallel_encode(
-                    data, k, workers=workers, executor="serial"
-                ),
-            )
-            baseline.name = "parallel"
-            baseline.extra.update(
-                workers=workers,
-                shards=len(plan_shards(
-                    max(1, -(-len(data) // k)), workers
-                )),
-                te_bits=encoding_p.compressed_size,
-                blocks=len(encoding_p.blocks),
-                **_compare_parallel(encoder, data, workers=workers),
-            )
-            report.scenarios["parallel"] = baseline
     finally:
         _state.set_enabled(previous)
         reset_obs()
@@ -453,47 +424,6 @@ def _compare_decode_fastpath(decoder, encoding, repeats: int = 3) -> dict:
         "vectorized_wall_s": fast,
         "reference_wall_s": reference,
         "speedup": reference / fast if fast > 0 else 0.0,
-        "identical_output": identical,
-    }
-
-
-def _compare_parallel(encoder, data, workers: int = 2,
-                      repeats: int = 2) -> dict:
-    """Single-core vs process-sharded encode timing (instrumentation off).
-
-    Beyond timing, re-asserts the sharded contract on this stream:
-    the process-executor encode must be bit-identical (stream, blocks,
-    case counts) to the single-core encode.  On single-core machines
-    the "speedup" honestly lands below 1.0 — that is the number the
-    regress gate should see, not a fabricated one.
-    """
-    from ..parallel import parallel_encode
-
-    def _sharded(payload):
-        return parallel_encode(
-            payload, encoder.k, workers=workers,
-            codebook=encoder.codebook, executor="process",
-        )
-
-    previous = _state.set_enabled(False)
-    try:
-        single = min(
-            _time_once(encoder.encode, data) for _ in range(repeats)
-        )
-        sharded = min(_time_once(_sharded, data) for _ in range(repeats))
-        expected = encoder.encode(data)
-        got = _sharded(data)
-    finally:
-        _state.set_enabled(previous)
-    identical = (
-        got.stream == expected.stream
-        and got.blocks == expected.blocks
-        and got.case_counts == expected.case_counts
-    )
-    return {
-        "single_core_wall_s": single,
-        "sharded_wall_s": sharded,
-        "speedup": single / sharded if sharded > 0 else 0.0,
         "identical_output": identical,
     }
 

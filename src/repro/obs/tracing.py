@@ -32,7 +32,7 @@ under the request's currently-open span, rebasing timestamps into its
 own timeline (the two processes' ``perf_counter`` clocks share no
 epoch, so events are anchored at the enclosing span's start).
 :func:`capture_scope` is that worker-side capture behind an on/off
-flag, shared by the serving layer and the sharded codec.  A
+flag, used by the serving layer's executor workers.  A
 grafted event list also folds into the aggregate tree, so ``tree()``
 always shows the merged picture.
 

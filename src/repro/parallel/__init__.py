@@ -1,48 +1,29 @@
-"""Multicore sharded 9C encode/decode (bit-identical to single-core).
+"""The codec behind the CLI's ``compress`` / ``decompress --workers N``.
 
 9C blocks are independent given a (K, codebook) pair — the property
-the paper's multi-scan decompressor architectures exploit in hardware —
-so the software codec shards the same way: contiguous block ranges per
-worker process, zero-copy shared-memory views in, concatenated shard
-streams out.  The package's contract is **exact** equality with the
-single-core oracle on every observable (streams, block records, case
-counts, decoded output, diagnostics, and raised-error identity), and
-:mod:`repro.parallel.proof` is that contract as executable data.
+the paper's multi-scan decompressor architectures exploit in hardware,
+giving each chain group its own decoder.  In software, splitting the
+blocks across threads or processes did not beat one core at 6 Mbit on
+2 vCPUs, so every worker count runs the single-core
+:class:`~repro.core.encoder.NineCEncoder` /
+:class:`~repro.core.decoder.NineCDecoder` in the calling process
+(measurements in ``docs/performance.md``).  The worker count is only
+validated; the flag and the two wrappers stay while the repository
+benchmark (``perfbench/``) passes ``--workers 2`` and wraps them by name.
 
 Entry points:
 
-* :func:`parallel_encode` / :func:`parallel_encode_file` — sharded
-  encode of an in-memory stream or a memory-mapped ``.9ct`` container
-  (bounded RSS for test sets larger than RAM);
-* :class:`ShardedDecoder` / :func:`parallel_decode` — sharded decode:
-  the coordinator runs the exact single-core scan, workers assemble;
-* :func:`differential_proof` — the oracle-equality grid.
-
-The CLI ``compress`` / ``decompress --workers N`` flags are the one
-production caller; they use :func:`parallel_encode` and
-:func:`parallel_decode`.
-
-When in doubt about worker counts: sharding pays off only when the
-per-block work dwarfs pool spin-up and the one copy into shared
-memory — see ``docs/performance.md`` for the crossover discussion.
+* :func:`parallel_encode` / :func:`parallel_decode` — the core codec
+  behind a validated worker count;
+* :func:`parallel_encode_file` — bounded-RSS encode of a memory-mapped
+  ``.9ct`` container, one window of blocks at a time.
 """
 
-from .decoder import ShardedDecoder, parallel_decode
-from .encoder import EXECUTORS, parallel_encode, parallel_encode_file
-from .plan import Shard, plan_shards
-from .proof import ProofCase, ProofReport, differential_proof
-from .shm import SharedUint8Array
+from .decoder import parallel_decode
+from .encoder import parallel_encode, parallel_encode_file
 
 __all__ = [
-    "EXECUTORS",
-    "ProofCase",
-    "ProofReport",
-    "Shard",
-    "SharedUint8Array",
-    "ShardedDecoder",
-    "differential_proof",
     "parallel_decode",
     "parallel_encode",
     "parallel_encode_file",
-    "plan_shards",
 ]

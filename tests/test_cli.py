@@ -1,5 +1,10 @@
 """Tests for the repro-9c command-line interface."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from repro.cli import main
@@ -303,6 +308,46 @@ class TestWorkersValidation:
             "decompress: --workers must be >= 1, got -2"
         )
         assert not (tmp_path / "out.test").exists()
+
+
+class TestWorkersStartNoProcess:
+    """``--workers N`` runs the codec in the calling process."""
+
+    def test_round_trip_leaves_no_child_process(self, tmp_path):
+        if not os.path.isdir("/proc/self"):
+            pytest.skip("needs /proc")
+        # children are found by parent pid in /proc/<pid>/stat, which
+        # works where /proc/<pid>/task/<tid>/children is not compiled in
+        script = textwrap.dedent(f"""
+            import os
+            from pathlib import Path
+
+            from repro.cli import main
+            from repro.testdata.mintest import load_benchmark
+
+            tmp = Path({str(tmp_path)!r})
+            bench = load_benchmark("s9234")
+            assert main(["compress", "--benchmark", "s9234", "--k", "8",
+                         "--workers", "2", "-o", str(tmp / "w2.test")]) == 0
+            assert main(["decompress", str(tmp / "w2.test"), "--k", "8",
+                         "--cells", str(bench.num_cells),
+                         "--length", str(bench.total_bits),
+                         "--workers", "2", "-o", str(tmp / "d2.test")]) == 0
+            children = []
+            for stat in Path("/proc").glob("[0-9]*/stat"):
+                try:
+                    ppid = int(stat.read_text().rsplit(")", 1)[1].split()[1])
+                except OSError:  # exited while we looked
+                    continue
+                if ppid == os.getpid():
+                    children.append(stat.parent.name)
+            print("children:", *children)
+        """)
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            check=True,
+        )
+        assert result.stdout.splitlines()[-1] == "children:"
 
 
 class TestProfileCommand:

@@ -2,11 +2,13 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     BlockCase,
     Codebook,
     NineCEncoder,
+    PAPER_LENGTHS,
     TernaryVector,
     analytic_compressed_size,
 )
@@ -179,11 +181,16 @@ class TestFastPathMatchesReference:
         assert fast.original_length == slow.original_length
         assert fast.case_counts == slow.case_counts
 
-    @given(ternary_vectors(max_size=200), even_block_sizes(max_k=16))
+    @given(ternary_vectors(max_size=200), even_block_sizes(max_k=16),
+           st.permutations(list(PAPER_LENGTHS.values())))
     @settings(max_examples=150)
-    def test_random_vectors(self, data, k):
-        encoder = NineCEncoder(k)
-        self.assert_same(encoder.encode(data), encoder.encode_reference(data))
+    def test_random_vectors(self, data, k, lengths):
+        # a permuted codebook makes cost order differ from column order,
+        # which exercises the classifier's lowest-column tie rule
+        book = Codebook.from_lengths(dict(zip(BlockCase, lengths)))
+        for encoder in (NineCEncoder(k), NineCEncoder(k, book)):
+            self.assert_same(encoder.encode(data),
+                             encoder.encode_reference(data))
 
     @pytest.mark.parametrize("name", sorted(ISCAS89_PROFILES))
     def test_full_iscas89_suite(self, name):

@@ -76,6 +76,20 @@ class TestDumpLoad:
         with pytest.raises((ValueError, EOFError)):
             loads_encoding(truncated)
 
+    def test_unknown_case_name_rejected(self):
+        data, encoding = sample_encoding()
+        text = dumps_encoding(encoding).replace("C9:", "C10:")
+        with pytest.raises(ValueError, match="unknown case 'C10'"):
+            loads_encoding(text)
+
+    def test_odd_k_rejected(self):
+        # checked before the block-record walk, which would otherwise
+        # misreport a bad K as a corrupt stream
+        data, encoding = sample_encoding()
+        text = dumps_encoding(encoding).replace("k=8", "k=7")
+        with pytest.raises(ValueError, match="even integer >= 2, got 7"):
+            loads_encoding(text)
+
     @given(ternary_vectors(min_size=1, max_size=96))
     @settings(max_examples=50)
     def test_roundtrip_property(self, data):

@@ -1,147 +1,261 @@
-"""Tests for repro.parallel: sharded encode/decode vs the oracle.
+"""Tests for repro.parallel: the ``--workers N`` codec and ``.9ct`` encode.
 
-The headline assertion is the differential proof: for every tested
-(target, K, workers) combination the sharded codec must be
-*bit-identical* to the single-core oracle — streams, block records,
-case counts, decoded output, diagnostics, and raised-error identity.
+The headline assertion is the differential proof: at every worker count
+the wrappers must be *bit-identical* to the single-core codec — streams,
+block records, case counts, decoded output, diagnostics and raised-error
+identity — and the windowed memory-mapped ``.9ct`` encode must equal
+loading the file and encoding it at every window size.
 """
 
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from repro import obs
-from repro.core.bitvec import TernaryVector
+from repro.atpg.flow import generate_test_cubes
+from repro.circuits.library import load_circuit
+from repro.core.bitvec import X, TernaryVector
+from repro.core.codewords import PAPER_LENGTHS, BlockCase, Codebook
 from repro.core.decoder import NineCDecoder
 from repro.core.encoder import NineCEncoder
 from repro.core.errors import StreamError
-from repro.core.io import save_test_set_binary
+from repro.core.io import _BINARY_HEADER, BINARY_MAGIC, save_test_set_binary
 from repro.parallel import (
-    ShardedDecoder,
-    SharedUint8Array,
-    differential_proof,
     parallel_decode,
     parallel_encode,
     parallel_encode_file,
-    plan_shards,
 )
-from repro.parallel.proof import compare_case, load_target_stream
-from repro.testdata.mintest import load_benchmark
+from repro.testdata import mintest
+
+#: ``_WINDOW_BLOCKS`` values the ``.9ct`` encode is checked at.
+WINDOWS = (1, 2, 3, 7)
+
+
+def load_target_stream(target: str) -> TernaryVector:
+    """A benchmark profile's stream, else ATPG cubes of a library circuit."""
+    if target in mintest.ALL_PROFILES:
+        return mintest.load_benchmark(target).to_stream()
+    return generate_test_cubes(load_circuit(target)).test_set.to_stream()
+
+
+def assert_same_encoding(got, want):
+    assert got.stream == want.stream
+    assert got.blocks == want.blocks
+    assert got.case_counts == want.case_counts
+    assert got.original_length == want.original_length
+
+
+def error_signature(exc: StreamError) -> tuple:
+    return (type(exc).__name__, str(exc), exc.bit_offset, exc.block_index)
+
+
+def caught(decode) -> tuple:
+    """The error signature ``decode()`` raises, or ``("none",)``."""
+    try:
+        decode()
+    except StreamError as exc:
+        return error_signature(exc)
+    return ("none",)
+
+
+def diag_fields(diag) -> tuple:
+    return (
+        diag.blocks_decoded, diag.blocks_lost,
+        [error_signature(e) for e in diag.errors],
+        diag.first_error_offset,
+    )
+
+
+def corrupt_middle(encoding) -> TernaryVector:
+    """The stream with an X planted inside its middle codeword."""
+    data = encoding.stream.data.copy()
+    data[encoding.blocks[len(encoding.blocks) // 2].stream_offset] = X
+    return TernaryVector(data)
+
+
+@pytest.fixture
+def wrapper_decoders(monkeypatch):
+    """Every decoder :func:`parallel_decode` builds, newest last."""
+    made = []
+
+    class Recording(NineCDecoder):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr("repro.parallel.decoder.NineCDecoder", Recording)
+    return made
+
+
+def write_9ct(path, codes: np.ndarray, patterns: int = 1) -> None:
+    """A ``.9ct`` holding ``codes`` verbatim as ``patterns`` patterns."""
+    with open(path, "wb") as handle:
+        handle.write(_BINARY_HEADER.pack(
+            BINARY_MAGIC, 1, patterns, codes.size // patterns
+        ))
+        handle.write(codes.astype(np.uint8).tobytes())
+
+
+def assert_file_matches(tmp_path, monkeypatch, codes, k=8):
+    """``parallel_encode_file`` equals the core encoder at every window."""
+    path = tmp_path / f"n{codes.size}.9ct"
+    write_9ct(path, codes)
+    want = NineCEncoder(k).encode(TernaryVector(codes.astype(np.uint8)))
+    for window in WINDOWS:
+        monkeypatch.setattr("repro.parallel.encoder._WINDOW_BLOCKS", window)
+        assert_same_encoding(parallel_encode_file(path, k), want)
 
 
 # ----------------------------------------------------------------------
-# shard planning
+# window planning of the .9ct encode, and the worker-count check
 # ----------------------------------------------------------------------
 class TestPlanShards:
-    def test_balanced_within_one_block(self):
-        shards = plan_shards(10, 3)
-        assert [s.num_blocks for s in shards] == [4, 3, 3]
+    def windows(self, tmp_path, monkeypatch, blocks, window, k=8):
+        """The payload ranges a ``blocks``-block file is mapped in."""
+        import repro.parallel.encoder as encoder
 
-    def test_contiguous_and_complete(self):
-        shards = plan_shards(17, 5)
-        assert shards[0].block_start == 0
-        assert shards[-1].block_stop == 17
-        for prev, nxt in zip(shards, shards[1:]):
-            assert prev.block_stop == nxt.block_start
+        spans = []
+        read = encoder._read_window
 
-    def test_fewer_blocks_than_workers(self):
-        shards = plan_shards(2, 7)
-        assert len(shards) == 2
-        assert all(s.num_blocks == 1 for s in shards)
+        def recording(path, header, start, stop):
+            spans.append((start, stop))
+            return read(path, header, start, stop)
 
-    def test_zero_blocks(self):
-        assert plan_shards(0, 4) == []
+        monkeypatch.setattr(encoder, "_read_window", recording)
+        monkeypatch.setattr(encoder, "_WINDOW_BLOCKS", window)
+        codes = np.random.default_rng(blocks).integers(0, 3, size=blocks * k)
+        path = tmp_path / "plan.9ct"
+        write_9ct(path, codes)
+        assert_same_encoding(
+            parallel_encode_file(path, k),
+            NineCEncoder(k).encode(TernaryVector(codes.astype(np.uint8))),
+        )
+        return spans
+
+    def test_contiguous_and_complete(self, tmp_path, monkeypatch):
+        spans = self.windows(tmp_path, monkeypatch, 17, 5)
+        assert len(spans) == 4
+        assert spans[0][0] == 0
+        assert spans[-1][1] == 17 * 8
+        for (_, prev_stop), (next_start, _) in zip(spans, spans[1:]):
+            assert prev_stop == next_start
+        assert all(stop - start <= 5 * 8 for start, stop in spans)
+
+    def test_fewer_blocks_than_workers(self, tmp_path, monkeypatch):
+        # two blocks fit one window, and seven workers on two blocks
+        # still run the core codec
+        assert self.windows(tmp_path, monkeypatch, 2, 7) == [(0, 16)]
+        data = load_target_stream("s27")
+        data = TernaryVector(data.data[:16].copy())
+        want = NineCEncoder(8).encode(data)
+        assert_same_encoding(parallel_encode(data, 8, workers=7), want)
+        assert parallel_decode(
+            want.stream, 8, want.original_length, workers=7
+        ) == NineCDecoder(8).decode(want)
+
+    def test_zero_blocks(self, tmp_path, monkeypatch):
+        # an empty payload maps one all-X pad block, as the core
+        # encoder pads an empty input
+        assert self.windows(tmp_path, monkeypatch, 0, 4) == [(0, 8)]
+        empty = TernaryVector(np.zeros(0, dtype=np.uint8))
+        want = NineCEncoder(8).encode(empty)
+        assert_same_encoding(parallel_encode(empty, 8, workers=4), want)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            plan_shards(4, 0)
-        with pytest.raises(ValueError):
-            plan_shards(-1, 2)
+        data = load_target_stream("s27")
+        stream = NineCEncoder(8).encode(data).stream
+        for workers in (0, -1):
+            with pytest.raises(ValueError, match="workers must be >= 1"):
+                parallel_encode(data, 8, workers=workers)
+            with pytest.raises(ValueError, match="workers must be >= 1"):
+                parallel_decode(stream, 8, workers=workers)
 
 
 # ----------------------------------------------------------------------
-# shared memory
-# ----------------------------------------------------------------------
-class TestSharedUint8Array:
-    def test_roundtrip_through_attach(self):
-        data = np.arange(32, dtype=np.uint8)
-        with SharedUint8Array.from_array(data) as shared:
-            other = SharedUint8Array.attach(shared.name, shared.size)
-            window = other.view(8, 16).copy()
-            other.close()
-            assert np.array_equal(window, data[8:16])
-
-    def test_zero_size_segment(self):
-        with SharedUint8Array.create(0) as shared:
-            assert shared.view().size == 0
-
-    def test_view_bounds_checked(self):
-        with SharedUint8Array.create(8) as shared:
-            with pytest.raises(ValueError):
-                shared.view(4, 12)
-
-    def test_closed_rejects_views(self):
-        shared = SharedUint8Array.create(8)
-        shared.unlink()
-        shared.close()
-        with pytest.raises(ValueError):
-            shared.view()
-
-
-# ----------------------------------------------------------------------
-# the differential proof (issue grid: workers x K x targets)
+# the differential proof (workers x K x targets x codebooks)
 # ----------------------------------------------------------------------
 class TestDifferentialProof:
-    def test_full_grid_serial(self):
+    def test_full_grid_serial(self, wrapper_decoders):
         # workers {1, 2, 3, 7} x K {4, 8, 16} on an ATPG circuit and a
-        # benchmark-scale profile; error parity included
-        report = differential_proof(
-            targets=("s27", "s9234"), executor="serial"
+        # benchmark-scale profile, under the paper's codebook and one
+        # whose lengths run in reverse case order; error parity included
+        reverse = Codebook.from_lengths(
+            dict(zip(BlockCase, reversed(PAPER_LENGTHS.values())))
         )
-        assert len(report.cases) == 2 * 3 * 4
-        assert report.ok, report.summary()
+        for target in ("s27", "s9234"):
+            data = load_target_stream(target)
+            for k in (4, 8, 16):
+                for book in (None, reverse):
+                    want = NineCEncoder(k, book).encode(data)
+                    oracle = NineCDecoder(k, book)
+                    decoded = oracle.decode(want)
+                    want_diag = diag_fields(oracle.last_diagnostics)
+                    broken = (
+                        corrupt_middle(want),
+                        TernaryVector(want.stream.data[:-1].copy()),
+                    )
+                    errors = [
+                        caught(lambda: oracle.decode_stream(
+                            s, want.original_length))
+                        for s in broken
+                    ]
+                    assert all(e != ("none",) for e in errors)
+                    for workers in (1, 2, 3, 7):
+                        case = (target, k, book is None, workers)
+                        got = parallel_encode(
+                            data, k, workers=workers, codebook=book
+                        )
+                        assert_same_encoding(got, want)
+                        assert parallel_decode(
+                            want.stream, k, want.original_length,
+                            workers=workers, codebook=book,
+                        ) == decoded, case
+                        assert diag_fields(
+                            wrapper_decoders[-1].last_diagnostics
+                        ) == want_diag, case
+                        for stream, error in zip(broken, errors):
+                            assert caught(lambda: parallel_decode(
+                                stream, k, want.original_length,
+                                workers=workers, codebook=book,
+                            )) == error, case
 
-    def test_process_executor(self):
+    def test_process_executor(self, monkeypatch):
+        # there is no process executor: a two-worker encode and decode
+        # must equal the core codec without starting any process
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the --workers codec started a process")
+
+        for name in ("fork", "posix_spawn", "posix_spawnp"):
+            monkeypatch.setattr(os, name, forbidden, raising=False)
+        monkeypatch.setattr("_posixsubprocess.fork_exec", forbidden)
         data = load_target_stream("s9234")
-        case = compare_case(
-            data, 8, 2, executor="process", target="s9234",
-            check_errors=False,
-        )
-        assert case.ok, case.failures
+        want = NineCEncoder(8).encode(data)
+        assert_same_encoding(parallel_encode(data, 8, workers=2), want)
+        assert parallel_decode(
+            want.stream, 8, want.original_length, workers=2
+        ) == NineCDecoder(8).decode(want)
 
-    def test_odd_sizes_and_padding(self):
+    def test_odd_sizes_and_padding(self, tmp_path, monkeypatch):
         # lengths that exercise the pad block, a lone block, and a
-        # non-multiple-of-K tail across uneven shard splits
+        # non-multiple-of-K tail across uneven window splits
         rng = np.random.default_rng(7)
         for bits in (0, 1, 7, 8, 9, 63, 64, 65):
-            data = TernaryVector(
-                rng.integers(0, 3, size=bits).astype(np.uint8)
-            )
-            for workers in (2, 3, 7):
-                case = compare_case(
-                    data, 8, workers, executor="serial",
-                    target=f"rand{bits}", check_errors=False,
-                )
-                assert case.ok, (bits, workers, case.failures)
+            codes = rng.integers(0, 3, size=bits)
+            assert_file_matches(tmp_path, monkeypatch, codes)
 
-    def test_variable_length_codewords_defeat_bit_splits(self):
+    def test_variable_length_codewords_defeat_bit_splits(
+            self, tmp_path, monkeypatch):
         # first half compresses to 1-bit C1 codewords, second half to
-        # long mismatch codewords: any "split the stream at the bit
-        # midpoint" sharding would land inside a codeword and desync
+        # long mismatch codewords: a window cut anywhere but on a block
+        # boundary would land inside a codeword and desync
         rng = np.random.default_rng(3)
         skew = np.concatenate([
             np.zeros(512, dtype=np.uint8),
             rng.integers(0, 2, size=512).astype(np.uint8),
         ])
-        data = TernaryVector(skew)
-        for workers in (2, 3, 7):
-            case = compare_case(
-                data, 8, workers, executor="serial",
-                target="skew", check_errors=True,
-            )
-            assert case.ok, (workers, case.failures)
+        assert_file_matches(tmp_path, monkeypatch, skew)
 
 
 class TestErrorParity:
@@ -152,64 +266,55 @@ class TestErrorParity:
         return NineCEncoder(8).encode(load_target_stream("s27"))
 
     def test_same_typed_error_same_offset(self, encoding):
-        corrupt = encoding.stream.data.copy()
-        middle = encoding.blocks[len(encoding.blocks) // 2]
-        corrupt[middle.stream_offset] = 2  # X inside a codeword
-        stream = TernaryVector(corrupt)
-
-        def caught(workers):
-            decoder = ShardedDecoder(8, workers=workers, executor="serial")
+        stream = corrupt_middle(encoding)
+        with pytest.raises(StreamError) as excinfo:
+            NineCDecoder(8).decode_stream(stream, encoding.original_length)
+        oracle = excinfo.value
+        for workers in (1, 2, 3, 7):
             with pytest.raises(StreamError) as excinfo:
-                decoder.decode_stream(stream, encoding.original_length)
-            return excinfo.value
-
-        oracle = caught(1)
-        for workers in (2, 3, 7):
-            exc = caught(workers)
+                parallel_decode(
+                    stream, 8, encoding.original_length, workers=workers
+                )
+            exc = excinfo.value
             assert type(exc) is type(oracle)
             assert str(exc) == str(oracle)
             assert exc.bit_offset == oracle.bit_offset
             assert exc.block_index == oracle.block_index
 
-    def test_recover_diagnostics_parity(self, encoding):
-        corrupt = encoding.stream.data.copy()
-        middle = encoding.blocks[len(encoding.blocks) // 2]
-        corrupt[middle.stream_offset] = 2
-        stream = TernaryVector(corrupt)
-
+    def test_recover_diagnostics_parity(self, encoding, wrapper_decoders):
+        stream = corrupt_middle(encoding)
         oracle = NineCDecoder(8)
         want = oracle.decode_stream(
             stream, encoding.original_length, recover=True
         )
         want_diag = oracle.last_diagnostics
         for workers in (2, 3):
-            decoder = ShardedDecoder(8, workers=workers, executor="serial")
-            got = decoder.decode_stream(
-                stream, encoding.original_length, recover=True
+            got = parallel_decode(
+                stream, 8, encoding.original_length, workers=workers,
+                recover=True,
             )
             assert got == want
-            diag = decoder.last_diagnostics
+            diag = wrapper_decoders[-1].last_diagnostics
             assert diag.blocks_decoded == want_diag.blocks_decoded
             assert diag.blocks_lost == want_diag.blocks_lost
             assert diag.first_error_offset == want_diag.first_error_offset
 
 
 class TestScannedDecode:
-    def test_early_stop_semantics_match(self):
+    def test_early_stop_semantics_match(self, wrapper_decoders):
         # output_length shorter than the stream's coverage: the oracle
-        # stops after ceil(output_length / K) blocks; the coordinator
-        # scan must stop at the same block and the shards must
-        # assemble exactly that prefix
-        data = load_target_stream("s27")
-        encoding = NineCEncoder(8).encode(data)
+        # stops after ceil(output_length / K) blocks, and every worker
+        # count must stop at the same block with the same prefix
+        encoding = NineCEncoder(8).encode(load_target_stream("s27"))
         oracle = NineCDecoder(8)
         for workers in (2, 3, 7):
-            decoder = ShardedDecoder(8, workers=workers, executor="serial")
             for length in (1, 8, 9, 24, encoding.original_length):
                 want = oracle.decode_stream(encoding.stream, length)
-                got = decoder.decode_stream(encoding.stream, length)
+                got = parallel_decode(
+                    encoding.stream, 8, length, workers=workers
+                )
                 assert got == want, (workers, length)
-                assert (decoder.last_diagnostics.blocks_decoded
+                assert (wrapper_decoders[-1].last_diagnostics.blocks_decoded
                         == oracle.last_diagnostics.blocks_decoded)
 
 
@@ -217,27 +322,37 @@ class TestScannedDecode:
 # memmap ingestion (bounded-RSS encode)
 # ----------------------------------------------------------------------
 class TestEncodeFile:
-    def test_bit_identical_to_in_memory(self, tmp_path):
-        test_set = load_benchmark("s9234")
+    def test_bit_identical_to_in_memory(self, tmp_path, monkeypatch):
+        test_set = mintest.load_benchmark("s9234")
         path = tmp_path / "s9234.9ct"
         save_test_set_binary(test_set, path)
         expected = NineCEncoder(8).encode(test_set.to_stream())
-        for workers in (1, 2, 4):
-            encoding = parallel_encode_file(
-                path, 8, workers=workers, executor="serial"
-            )
-            assert encoding.stream == expected.stream, workers
-            assert encoding.blocks == expected.blocks, workers
-            assert encoding.original_length == expected.original_length
+        assert_same_encoding(parallel_encode_file(path, 8), expected)
+        monkeypatch.setattr("repro.parallel.encoder._WINDOW_BLOCKS", 100)
+        assert_same_encoding(parallel_encode_file(path, 8), expected)
+
+    def test_out_of_range_code_rejected(self, tmp_path, monkeypatch):
+        # 16 cells x 4 patterns whose first block is 0 0 0 1 0 7 0 0:
+        # read as an X, the 7 would silently decode as a 0
+        path = tmp_path / "bad.9ct"
+        codes = np.zeros(64, dtype=np.uint8)
+        codes[3], codes[5] = 1, 7
+        write_9ct(path, codes, patterns=4)
+        with pytest.raises(ValueError, match="outside"):
+            parallel_encode_file(path, 8)
+        # a bad code in a later window is caught too
+        codes[5], codes[60] = 0, 3
+        write_9ct(path, codes, patterns=4)
+        monkeypatch.setattr("repro.parallel.encoder._WINDOW_BLOCKS", 1)
+        with pytest.raises(ValueError, match="outside"):
+            parallel_encode_file(path, 8)
 
     def test_rss_bounded_by_shard_not_file(self, tmp_path):
         # the memmap path must not pull the whole payload into memory:
-        # encoding a 12 MB file shard-by-shard has to grow RSS by at
+        # encoding a 12 MB file window-by-window has to grow RSS by at
         # least half a payload less than loading the file up front does
         # (per-block records dominate both paths equally, so the delta
         # isolates input residency)
-        from repro.core.io import _BINARY_HEADER, BINARY_MAGIC
-
         cells, patterns = 1000, 12_000  # 12e6 cells = ~11.4 MiB payload
         payload = patterns * cells
         path = tmp_path / "big.9ct"
@@ -271,53 +386,13 @@ class TestEncodeFile:
             )
             return int(result.stdout.strip())
 
-        mmap_grown = grown(
-            'encoding = parallel_encode_file('
-            'path, 16, workers=8, executor="serial")'
-        )
+        mmap_grown = grown('encoding = parallel_encode_file(path, 16)')
         full_grown = grown(
             'stream, header = memmap_stream(path)',
             'data = TernaryVector(np.asarray(stream.data).copy())',
-            'encoding = parallel_encode('
-            'data, 16, workers=8, executor="serial")'
+            'encoding = parallel_encode(data, 16, workers=8)'
         )
         assert mmap_grown + payload // 2 < full_grown, (
             f"mmap encode grew RSS by {mmap_grown} bytes vs "
             f"{full_grown} for the full-load path"
         )
-
-
-# ----------------------------------------------------------------------
-# tracing: per-shard worker spans graft into the live tree
-# ----------------------------------------------------------------------
-class TestWorkerSpans:
-    def test_encode_grafts_worker_spans(self):
-        from repro.obs import tracing
-
-        data = load_target_stream("s27")
-        obs.reset()
-        with obs.enabled_scope(True):
-            parallel_encode(data, 8, workers=2, executor="serial")
-            tree = tracing.get_tracer().tree()
-        obs.reset()
-        root = tree["parallel.encode"]
-        worker = root["children"]["worker.encode"]
-        assert worker["calls"] == 2
-        assert worker["children"]["encode.shard"]["calls"] == 2
-
-    def test_decode_grafts_worker_spans(self):
-        from repro.obs import tracing
-
-        data = load_target_stream("s27")
-        encoding = NineCEncoder(8).encode(data)
-        obs.reset()
-        with obs.enabled_scope(True):
-            parallel_decode(
-                encoding.stream, 8,
-                output_length=encoding.original_length,
-                workers=2, executor="serial",
-            )
-            tree = tracing.get_tracer().tree()
-        obs.reset()
-        root = tree["parallel.decode"]
-        assert root["children"]["worker.decode"]["calls"] == 2
