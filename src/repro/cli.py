@@ -693,13 +693,15 @@ def cmd_serve(args) -> int:
 
     from .serve import CompressionService, ServeServer, ServiceConfig
 
+    limits = {name: getattr(args, name)
+              for name in ("max_inflight", "max_queue")
+              if getattr(args, name) is not None}
     config = ServiceConfig(
         k=args.k,
         executor=args.executor,
         workers=args.workers,
-        max_inflight=args.max_inflight,
-        max_queue=args.max_queue,
         allow_chaos=args.chaos,
+        **limits,
     )
 
     async def run() -> None:
@@ -1154,8 +1156,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--executor", choices=["process", "thread", "inline"],
                    default="process")
     p.add_argument("--workers", type=int, default=2)
-    p.add_argument("--max-inflight", type=int, default=8)
-    p.add_argument("--max-queue", type=int, default=16)
+    # None keeps ServiceConfig's default, so each limit is defined once
+    p.add_argument("--max-inflight", type=int, default=None,
+                   help="requests run at once (default: ServiceConfig's)")
+    p.add_argument("--max-queue", type=int, default=None,
+                   help="requests waiting for admission before shedding "
+                        "(default: ServiceConfig's)")
     p.add_argument("--chaos", action="store_true",
                    help="accept chaos-op fault injection (testing only)")
     p.set_defaults(func=cmd_serve)

@@ -19,7 +19,14 @@ ONE = 1
 X = 2
 
 _CHAR_TO_VAL = {"0": ZERO, "1": ONE, "X": X, "x": X, "-": X, "?": X}
-_VAL_TO_CHAR = {ZERO: "0", ONE: "1", X: "X"}
+
+#: Byte -> code table for ASCII text; every other byte maps to the
+#: invalid marker, which is the only entry above :data:`X`.
+_INVALID = 0xFF
+_PARSE = np.full(256, _INVALID, dtype=np.uint8)
+_PARSE[[ord(c) for c in _CHAR_TO_VAL]] = list(_CHAR_TO_VAL.values())
+#: Code -> byte table of :meth:`TernaryVector.to_string`.
+_RENDER = np.frombuffer(b"01X", dtype=np.uint8)
 
 BitLike = Union[int, str]
 
@@ -37,6 +44,27 @@ def _coerce_value(value: BitLike) -> int:
     return value
 
 
+def _parse_text(text: str) -> np.ndarray:
+    """Codes of a ``0``/``1``/``X`` string (``x``, ``-``, ``?`` mean X).
+
+    ASCII text goes through :data:`_PARSE` in one numpy pass.  Other
+    text takes the per-character path, because ``encode("ascii")``
+    stops at the first non-ASCII character, which need not be the
+    first invalid one.
+    """
+    try:
+        raw = text.encode("ascii")
+    except UnicodeEncodeError:
+        return np.fromiter(
+            (_coerce_value(c) for c in text), dtype=np.uint8, count=len(text)
+        )
+    codes = _PARSE[np.frombuffer(raw, dtype=np.uint8)]
+    if codes.max(initial=ZERO) > X:
+        first = chr(raw[int(np.argmax(codes == _INVALID))])
+        raise ValueError(f"invalid ternary character: {first!r}")
+    return codes
+
+
 class TernaryVector:
     """An immutable-by-convention vector of {0, 1, X} values.
 
@@ -49,17 +77,13 @@ class TernaryVector:
     __slots__ = ("data",)
 
     def __init__(self, data: Union[np.ndarray, Sequence[BitLike], str]):
+        if isinstance(data, str):
+            self.data = _parse_text(data)
+            return
         if isinstance(data, np.ndarray):
             if data.dtype != np.uint8:
                 data = data.astype(np.uint8)
             arr = data
-        elif isinstance(data, str):
-            try:
-                arr = np.fromiter(
-                    (_CHAR_TO_VAL[c] for c in data), dtype=np.uint8, count=len(data)
-                )
-            except KeyError as exc:
-                raise ValueError(f"invalid ternary character: {exc.args[0]!r}") from None
         else:
             arr = np.fromiter(
                 (_coerce_value(v) for v in data), dtype=np.uint8, count=len(data)
@@ -145,8 +169,7 @@ class TernaryVector:
     # ------------------------------------------------------------------
     def to_string(self) -> str:
         """Render as a ``0``/``1``/``X`` string."""
-        lut = np.array(["0", "1", "X"])
-        return "".join(lut[self.data])
+        return _RENDER[self.data].tobytes().decode("ascii")
 
     def count(self, value: BitLike) -> int:
         """Count occurrences of a ternary value."""

@@ -17,7 +17,8 @@ Three implementations are provided and tested against each other:
 
 * :meth:`NineCEncoder.encode` — vectorized fast path: the block
   classification runs on the whole K-column grid at once (shared with
-  :meth:`measure`) and only stream assembly walks blocks;
+  :meth:`measure`), the stream is one masked gather over the grid, and
+  the block records stay columns (:class:`BlockRecords`);
 * :meth:`NineCEncoder.encode_reference` — readable per-block reference
   path, kept as the oracle the fast path is verified against;
 * :meth:`NineCEncoder.measure` — numpy-vectorized classifier that returns
@@ -27,7 +28,7 @@ Three implementations are provided and tested against each other:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union, overload
 
 import numpy as np
 
@@ -35,6 +36,10 @@ from .. import obs as _obs
 from .bitstream import TernaryStreamWriter
 from .bitvec import ONE, X, ZERO, TernaryVector
 from .codewords import BlockCase, Codebook, HalfKind
+
+
+#: Case column order: ``_classify`` output and ``BlockRecords.columns``.
+_CASES: Tuple[BlockCase, ...] = tuple(BlockCase)
 
 
 @dataclass(frozen=True)
@@ -46,6 +51,54 @@ class BlockRecord:
     stream_offset: int
 
 
+class BlockRecords(Sequence[BlockRecord]):
+    """Read-only block records kept as two columns.
+
+    ``columns[i]`` is block ``i``'s case as an index into ``BlockCase``
+    order and ``offsets[i]`` its first bit in the stream.  A
+    :class:`BlockRecord` is built only when one is read, so an encode
+    that never looks at its records does no per-block Python.  Equal
+    to a list of the same records, in either order of comparison.
+    """
+
+    __slots__ = ("columns", "offsets")
+
+    def __init__(self, columns: np.ndarray, offsets: np.ndarray):
+        self.columns = columns
+        self.offsets = offsets
+
+    def __len__(self) -> int:
+        return len(self.columns)
+
+    @overload
+    def __getitem__(self, index: int) -> BlockRecord: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> List[BlockRecord]: ...
+
+    def __getitem__(self, index: Union[int, slice]
+                    ) -> Union[BlockRecord, List[BlockRecord]]:
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        column = int(self.columns[index])  # numpy raises the IndexError
+        position = index % len(self)
+        return BlockRecord(position, _CASES[column],
+                           int(self.offsets[position]))
+
+    def __iter__(self) -> Iterator[BlockRecord]:
+        for index, (column, offset) in enumerate(
+                zip(self.columns.tolist(), self.offsets.tolist())):
+            yield BlockRecord(index, _CASES[column], offset)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, BlockRecords):
+            return (np.array_equal(self.columns, other.columns)
+                    and np.array_equal(self.offsets, other.offsets))
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+
 @dataclass
 class Encoding:
     """The result of compressing one bit-stream with 9C."""
@@ -54,7 +107,7 @@ class Encoding:
     codebook: Codebook
     original_length: int
     stream: TernaryVector
-    blocks: List[BlockRecord] = field(repr=False)
+    blocks: Sequence[BlockRecord] = field(repr=False)
     _case_counts: Optional[Dict[BlockCase, int]] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -73,16 +126,16 @@ class Encoding:
     def case_counts(self) -> Dict[BlockCase, int]:
         """Occurrence frequency N_i of each codeword (Table VI).
 
-        Computed once from ``blocks`` and cached — TAT analysis and the
-        Table VI report hit this per codeword, and the O(blocks) walk
-        dominated on Mbit-scale encodings.  A fresh dict is returned on
-        each access so callers may mutate their copy freely.
+        One ``bincount`` over the case column, cached — TAT analysis
+        and the Table VI report hit this per codeword.  A fresh dict is
+        returned on each access so callers may mutate their copy freely.
         """
         if self._case_counts is None:
-            counts = {case: 0 for case in BlockCase}
-            for record in self.blocks:
-                counts[record.case] += 1
-            self._case_counts = counts
+            blocks = self.blocks
+            columns = (blocks.columns if isinstance(blocks, BlockRecords)
+                       else [_CASES.index(record.case) for record in blocks])
+            tally = np.bincount(columns, minlength=len(_CASES)).tolist()
+            self._case_counts = dict(zip(_CASES, tally))
         return dict(self._case_counts)
 
     @property
@@ -175,9 +228,9 @@ class NineCEncoder:
         """Compress a ternary vector into a 9C :class:`Encoding`.
 
         Vectorized fast path: case selection runs once over the whole
-        block grid (the same classification :meth:`measure` uses) and
-        the Python loop only assembles codeword/mismatch chunks.
-        Produces output bit-identical to :meth:`encode_reference`.
+        block grid (the same classification :meth:`measure` uses), then
+        one gather assembles the stream.  Produces output bit-identical
+        to :meth:`encode_reference`.
         """
         with _obs.span("encode"):
             encoding = self._encode_fast(data)
@@ -206,52 +259,44 @@ class NineCEncoder:
 
         ``grid`` is the padded input reshaped to ``(n_blocks, K)`` and
         ``chosen`` the case column per row (from :meth:`_classify`).
-        Because blocks are independent given (K, codebook), assembling
-        any contiguous row range yields exactly that slice of the full
-        stream — the property
+        Each block becomes a row ``[codeword padded to the longest |
+        block]``; a per-case keep mask selects the codeword bits and
+        the mismatch halves, and one boolean gather reads the kept
+        symbols in row order.  Because blocks are independent given
+        (K, codebook), assembling any contiguous row range yields
+        exactly that slice of the full stream — the property
         :func:`repro.parallel.parallel_encode_file` relies on when it
         encodes a ``.9ct`` container window by window.
         """
         half = self.k // 2
-        cases = list(BlockCase)
-        codewords = [np.asarray(self.codebook.codeword(case), dtype=np.uint8)
-                     for case in cases]
-        left_raw = [case.halves[0] is HalfKind.MISMATCH for case in cases]
-        right_raw = [case.halves[1] is HalfKind.MISMATCH for case in cases]
-        chunks: List[np.ndarray] = []
-        for index, column in enumerate(chosen):
-            chunks.append(codewords[column])
-            if left_raw[column]:
-                chunks.append(grid[index, :half])
-            if right_raw[column]:
-                chunks.append(grid[index, half:])
-        if not chunks:
-            return np.empty(0, dtype=np.uint8)
-        return np.concatenate(chunks)
+        codewords = [self.codebook.codeword(case) for case in _CASES]
+        width = max(len(codeword) for codeword in codewords)
+        prefix = np.zeros((len(_CASES), width), dtype=np.uint8)
+        keep = np.zeros((len(_CASES), width + self.k), dtype=bool)
+        for column, (case, codeword) in enumerate(zip(_CASES, codewords)):
+            prefix[column, :len(codeword)] = codeword
+            keep[column, :len(codeword)] = True
+            for side, kind in enumerate(case.halves):
+                if kind is HalfKind.MISMATCH:
+                    start = width + side * half
+                    keep[column, start:start + half] = True
+        rows = np.empty((len(chosen), width + self.k), dtype=np.uint8)
+        rows[:, :width] = prefix[chosen]
+        rows[:, width:] = grid
+        return rows[keep[chosen]]
 
-    def _block_records(self, chosen: np.ndarray) -> List[BlockRecord]:
+    def _block_records(self, chosen: np.ndarray) -> BlockRecords:
         """Block records for a full run of classified case columns.
 
         Stream offsets fall out of a cumulative sum of per-case encoded
         sizes, so records for window-concatenated ``chosen`` arrays come
         out globally correct without any per-window offset fixup.
         """
-        cases = list(BlockCase)
         sizes = np.asarray(
-            [self.codebook.encoded_size(case, self.k) for case in cases],
+            [self.codebook.encoded_size(case, self.k) for case in _CASES],
             dtype=np.int64,
-        )
-        columns = np.asarray(chosen, dtype=np.int64)
-        if not columns.size:
-            return []
-        offsets = np.concatenate(
-            ([0], np.cumsum(sizes[columns])[:-1])
-        )
-        return [
-            BlockRecord(index, cases[column], int(offset))
-            for index, (column, offset)
-            in enumerate(zip(columns.tolist(), offsets.tolist()))
-        ]
+        )[chosen]
+        return BlockRecords(chosen, np.cumsum(sizes) - sizes)
 
     def encode_reference(self, data: TernaryVector) -> Encoding:
         """Per-block reference encoder (the fast path's oracle)."""
@@ -302,18 +347,17 @@ class NineCEncoder:
         for side, half_grid in enumerate((grid[:, :half], grid[:, half:])):
             ok[side, HalfKind.ZEROS] = ~np.any(half_grid == ONE, axis=1)
             ok[side, HalfKind.ONES] = ~np.any(half_grid == ZERO, axis=1)
-        cases = list(BlockCase)
         order = sorted(
-            range(len(cases)),
+            range(len(_CASES)),
             key=lambda column: (
-                self.codebook.encoded_size(cases[column], self.k), column
+                self.codebook.encoded_size(_CASES[column], self.k), column
             ),
         )
         chosen = np.empty(grid.shape[0], dtype=np.int8)
         open_rows = np.ones(grid.shape[0], dtype=bool)
         for column in order:
             take = open_rows.copy()
-            for side, kind in enumerate(cases[column].halves):
+            for side, kind in enumerate(_CASES[column].halves):
                 if kind is not HalfKind.MISMATCH:
                     take &= ok[side, kind]
             chosen[take] = column
@@ -330,31 +374,19 @@ class NineCEncoder:
         padded = self._pad(data)
         half = self.k // 2
         grid = padded.data.reshape(-1, self.k)
-        left, right = grid[:, :half], grid[:, half:]
         chosen = self._classify(grid)
-        cases = list(BlockCase)
-        case_counts = {
-            case: int(np.count_nonzero(chosen == column))
-            for column, case in enumerate(cases)
-        }
-        compressed_size = int(
-            sum(
-                self.codebook.encoded_size(case, self.k) * count
-                for case, count in case_counts.items()
-            )
+        tally = np.bincount(chosen, minlength=len(_CASES)).tolist()
+        case_counts = dict(zip(_CASES, tally))
+        compressed_size = sum(
+            self.codebook.encoded_size(case, self.k) * count
+            for case, count in case_counts.items()
         )
         # leftover X = X symbols inside halves transmitted as mismatches
-        x_left = np.count_nonzero(left == X, axis=1)
-        x_right = np.count_nonzero(right == X, axis=1)
         leftover = 0
-        for column, case in enumerate(cases):
-            if case.num_mismatch_halves == 0:
-                continue
-            mask = chosen == column
-            if case.halves[0] is HalfKind.MISMATCH:
-                leftover += int(x_left[mask].sum())
-            if case.halves[1] is HalfKind.MISMATCH:
-                leftover += int(x_right[mask].sum())
+        for side, half_grid in enumerate((grid[:, :half], grid[:, half:])):
+            raw = np.array([case.halves[side] is HalfKind.MISMATCH
+                            for case in _CASES])[chosen]
+            leftover += int(np.count_nonzero(half_grid[raw] == X))
         return Measurement(
             k=self.k,
             original_length=original_length,

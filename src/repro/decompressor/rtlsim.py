@@ -3,7 +3,8 @@
 A small, honest RTL simulator: it parses the *text* of the generated
 decoder module (not a Python re-statement of it) and executes it with
 Verilog semantics — two-phase nonblocking updates on the clock edge,
-asynchronous active-low reset, continuous assignments settled on demand.
+asynchronous active-low reset, continuous assignments settled on demand
+and cached until an input, a register or the clock changes them.
 The equivalence tests drive the interpreted RTL bit-for-bit against the
 software decoder, which is the strongest correctness statement we can
 make about the hardware without an external simulator.
@@ -26,7 +27,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 # ----------------------------------------------------------------------
 # lexer
@@ -391,26 +393,47 @@ class RTLSimulator:
 
     def __init__(self, module: ModuleDef):
         self.module = module
-        self.regs: Dict[str, int] = {name: 0 for name in module.regs}
-        self.inputs: Dict[str, int] = {
+        #: Settled wire values for the current inputs and registers.
+        self._wires: Dict[str, int] = {}
+        self._regs: Dict[str, int] = {name: 0 for name in module.regs}
+        self._inputs: Dict[str, int] = {
             p.name: 0 for p in module.ports.values()
             if p.direction == "input"
         }
         self.reset()
 
+    @property
+    def regs(self) -> Mapping[str, int]:
+        """Read-only register values; assign a mapping to load a state."""
+        return MappingProxyType(self._regs)
+
+    @regs.setter
+    def regs(self, values: Mapping[str, int]) -> None:
+        self._regs = dict(values)
+        self._wires.clear()
+
+    @property
+    def inputs(self) -> Mapping[str, int]:
+        """Read-only input port values; drive them with :meth:`set_inputs`."""
+        return MappingProxyType(self._inputs)
+
     # -- value resolution ------------------------------------------------
     def _lookup(self, name: str, visiting: frozenset) -> int:
-        if name in self.inputs:
-            return self.inputs[name]
-        if name in self.regs:
-            return self.regs[name]
+        if name in self._inputs:
+            return self._inputs[name]
+        if name in self._regs:
+            return self._regs[name]
         if name in self.module.localparams:
             return self.module.localparams[name]
         if name in self.module.wires:
-            if name in visiting:
-                raise ValueError(f"combinational loop through {name}")
-            return self._eval(self.module.wires[name],
-                              visiting | {name})
+            value = self._wires.get(name)
+            if value is None:
+                if name in visiting:
+                    raise ValueError(f"combinational loop through {name}")
+                value = self._wires[name] = self._eval(
+                    self.module.wires[name], visiting | {name}
+                )
+            return value
         raise ValueError(f"undefined identifier {name!r}")
 
     def _eval(self, expr: Expr, visiting: frozenset = frozenset()) -> int:
@@ -483,14 +506,16 @@ class RTLSimulator:
         """Apply the asynchronous reset branch."""
         updates: Dict[str, int] = {}
         self._execute(self.module.reset_body, updates)
-        self.regs.update(updates)
+        self._regs.update(updates)
+        self._wires.clear()
 
     def set_inputs(self, **values: int) -> None:
         """Drive input ports (persist until changed)."""
+        self._wires.clear()
         for name, value in values.items():
-            if name not in self.inputs:
+            if name not in self._inputs:
                 raise ValueError(f"not an input port: {name!r}")
-            self.inputs[name] = int(value)
+            self._inputs[name] = int(value)
 
     def read(self, name: str) -> int:
         """Read any port, reg or wire after combinational settling."""
@@ -498,16 +523,17 @@ class RTLSimulator:
 
     def step(self) -> None:
         """One posedge clk: evaluate, then commit nonblocking updates."""
-        if self.inputs.get("rst_n", 1) == 0:
+        if self._inputs.get("rst_n", 1) == 0:
             self.reset()
             return
         updates: Dict[str, int] = {}
         self._execute(self.module.clocked_body, updates)
-        self.regs.update(updates)
+        self._regs.update(updates)
+        self._wires.clear()
 
 
 def run_decoder_rtl(
-    rtl_source: str,
+    rtl_source: Union[str, ModuleDef],
     stream_bits: List[int],
     max_cycles: Optional[int] = None,
 ) -> List[int]:
@@ -516,9 +542,12 @@ def run_decoder_rtl(
     Plays the ATE side of the handshake (present a bit + ``ate_tick``
     whenever ``ready``), samples ``scan_out`` on every ``scan_en``
     strobe, and returns the decoded bit sequence.  Raises on deadlock
-    (cycle budget exhausted with work remaining).
+    (cycle budget exhausted with work remaining).  ``rtl_source`` is
+    the Verilog text or a module :func:`parse_module` already parsed.
     """
-    simulator = RTLSimulator(parse_module(rtl_source))
+    module = rtl_source if isinstance(rtl_source, ModuleDef) \
+        else parse_module(rtl_source)
+    simulator = RTLSimulator(module)
     simulator.set_inputs(rst_n=0, dec_en=0, ate_tick=0, data_in=0)
     simulator.step()
     simulator.set_inputs(rst_n=1, dec_en=1)

@@ -306,7 +306,8 @@ def _rtl_vs_oracle(
     fsm = NineCDecoderFSM(codebook)
     rtl = rtl_text if rtl_text is not None \
         else generate_decoder_verilog(k, codebook)
-    sim = RTLSimulator(parse_module(rtl))
+    module = parse_module(rtl)
+    sim = RTLSimulator(module)
     sim.set_inputs(rst_n=0, dec_en=0, ate_tick=0, data_in=0)
     sim.step()
     sim.set_inputs(rst_n=1)
@@ -390,17 +391,17 @@ def _rtl_vs_oracle(
     # Randomized stream cosimulation: RTL vs the software decoder on
     # encoder-produced streams (exercises full blocks end to end).
     rng = np.random.default_rng(seed)
+    encoder = NineCEncoder(k, codebook)
+    decoder = NineCDecoder(k, codebook)
     streams = 0
     for _ in range(stream_blocks):
         data = TernaryVector(
             rng.integers(0, 3, 6 * k).astype(np.uint8)
         )
-        encoding = NineCEncoder(k, codebook).encode(data)
+        encoding = encoder.encode(data)
         bits = [0 if b == 2 else int(b) for b in encoding.stream]
-        software = NineCDecoder(k, codebook).decode_stream(
-            TernaryVector(bits)
-        )
-        hardware = run_decoder_rtl(rtl, bits)
+        software = decoder.decode_stream(TernaryVector(bits))
+        hardware = run_decoder_rtl(module, bits)
         streams += 1
         if hardware != [int(b) for b in software]:
             return LegResult(

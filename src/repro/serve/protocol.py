@@ -52,6 +52,8 @@ class Request:
     op: str
     params: dict = field(default_factory=dict)
     deadline_ms: Optional[float] = None
+    #: Length of the wire line, counted against the admission byte ceiling.
+    frame_bytes: int = 0
 
 
 def parse_request(line: bytes) -> Request:
@@ -97,6 +99,7 @@ def parse_request(line: bytes) -> Request:
         op=op,
         params=params,
         deadline_ms=deadline_ms,
+        frame_bytes=len(line),
     )
 
 

@@ -9,7 +9,8 @@ tests and chaos experiments), through a robustness ladder applied in
 order on every request:
 
 1. **admission** — a semaphore bounds in-flight work; when the wait
-   queue is full the request is shed *explicitly* with a retryable
+   queue is full, or its frames would pass :data:`MAX_WAITING_BYTES`,
+   the request is shed *explicitly* with a retryable
    :class:`~repro.core.errors.ServiceOverloadedError` (429-style, never
    a silent drop).  ``health`` and ``metrics`` bypass admission so the
    service stays observable under overload.
@@ -79,11 +80,22 @@ from ..core.errors import (
 )
 from .breaker import BreakerBoard
 from .cache import PreparedArtifactCache
-from .protocol import Request, error_response, ok_response, parse_request
+from .protocol import (
+    MAX_FRAME_BYTES,
+    Request,
+    error_response,
+    ok_response,
+    parse_request,
+)
 from .retry import RetryPolicy, run_with_retry
 
 #: serve.latency_ms histogram bucket upper edges.
 LATENCY_BOUNDS_MS = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000)
+
+#: Ceiling on the frame bytes of requests waiting for admission: the
+#: memory 16 waiting requests of the largest frame size held before the
+#: queue grew to hold about one second of work.
+MAX_WAITING_BYTES = 16 * MAX_FRAME_BYTES
 
 #: Ceiling on per-request resilience campaign size; the op is a shared
 #: diagnostic, not a batch computing facility.
@@ -278,7 +290,7 @@ class ServiceConfig:
     executor: str = "process"          # process | thread | inline
     workers: int = 2
     max_inflight: int = 8
-    max_queue: int = 16
+    max_queue: int = 256               # ~1 s of work at ~200 req/s
     default_deadline_ms: float = 10_000.0
     batch_window_ms: float = 2.0
     max_batch: int = 8
@@ -456,6 +468,7 @@ class CompressionService:
         self._executor_generation = 0
         self._semaphore = asyncio.Semaphore(self.config.max_inflight)
         self._waiting = 0
+        self._waiting_bytes = 0
         self._inflight = 0
         self._degraded_routes: Set[Tuple] = set()
         self._route_counts: Dict[Tuple, int] = {}
@@ -682,29 +695,38 @@ class CompressionService:
             return await asyncio.wait_for(
                 self._dispatch(request), timeout=deadline_ms / 1e3
             )
-        if self._waiting >= self.config.max_queue:
+        size = request.frame_bytes
+        if (self._waiting >= self.config.max_queue
+                or self._waiting_bytes + size > MAX_WAITING_BYTES):
             self.totals["shed"] += 1
             if _obs.enabled():
                 _obs.counter("serve.shed").inc()
             _log.warning("serve.shed", inflight=self._inflight,
                          waiting=self._waiting,
+                         waiting_bytes=self._waiting_bytes,
                          max_queue=self.config.max_queue)
             raise ServiceOverloadedError(
                 "request shed: admission queue full",
                 inflight=self._inflight,
                 waiting=self._waiting,
+                waiting_bytes=self._waiting_bytes,
                 max_queue=self.config.max_queue,
             )
         self._waiting += 1
+        self._waiting_bytes += size
         dequeued = False
 
-        async def admitted() -> dict:
+        def dequeue() -> None:
             nonlocal dequeued
+            self._waiting -= 1
+            self._waiting_bytes -= size
+            dequeued = True
+
+        async def admitted() -> dict:
             with self._req_span("admission.wait"):
                 await self._semaphore.acquire()
             try:
-                self._waiting -= 1
-                dequeued = True
+                dequeue()
                 self._inflight += 1
                 try:
                     return await self._dispatch(request)
@@ -726,7 +748,7 @@ class CompressionService:
             ) from None
         finally:
             if not dequeued:
-                self._waiting -= 1  # cancelled while still queued
+                dequeue()  # cancelled while still queued
 
     async def _dispatch(self, request: Request) -> dict:
         fault = self.fault_plan.take(request.op, kind="latency")

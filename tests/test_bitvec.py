@@ -184,6 +184,49 @@ class TestTransforms:
         assert v.to_string() == "01X"
 
 
+#: What each accepted character parses to, rendered back.
+RENDERED = {"0": "0", "1": "1", "X": "X", "x": "X", "-": "X", "?": "X"}
+
+#: ASCII and non-ASCII characters that ``str.split()`` treats as space.
+WHITESPACE = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2003\u3000"
+
+
+class TestTextCodec:
+    """The table-driven parse/render must match the per-character one."""
+
+    @given(st.text(alphabet="01Xx-?"))
+    def test_render_after_parse(self, text):
+        rendered = "".join(RENDERED[c] for c in text)
+        assert TernaryVector(text).to_string() == rendered
+
+    @given(st.text(alphabet="01X" + WHITESPACE))
+    def test_from_string_drops_what_split_drops(self, text):
+        assert TernaryVector.from_string(text).to_string() == \
+            "".join(text.split())
+
+    @pytest.mark.parametrize("text,bad", [
+        ("01a", "a"),
+        ("aé", "a"),     # first bad character, not first non-ASCII one
+        ("0é", "é"),
+        ("0 1", " "),    # the constructor does not skip whitespace
+        ("01X\n", "\n"),
+    ])
+    def test_invalid_character_named(self, text, bad):
+        with pytest.raises(ValueError) as excinfo:
+            TernaryVector(text)
+        assert str(excinfo.value) == f"invalid ternary character: {bad!r}"
+
+    @pytest.mark.parametrize("text,bad", [
+        ("0 1 a", "a"),
+        ("aé", "a"),
+        ("0 é", "é"),
+    ])
+    def test_from_string_names_first_invalid(self, text, bad):
+        with pytest.raises(ValueError) as excinfo:
+            TernaryVector.from_string(text)
+        assert str(excinfo.value) == f"invalid ternary character: {bad!r}"
+
+
 class TestProperties:
     @given(ternary_vectors())
     def test_string_roundtrip(self, v):

@@ -81,6 +81,52 @@ class TestDecompress:
             ])
 
 
+class TestGoldenBytes:
+    """File-to-file output pinned byte for byte.
+
+    The input uses every X alias and stray whitespace; the expected
+    files were written by the per-symbol text codec and per-block
+    encoder that the table-driven ones replaced.
+    """
+
+    SOURCE = (
+        "# repro test set: cells=32 patterns=6 name=golden\n"
+        "00000000XXXXXXXX1111111101100110\n"
+        "1X1X0000XXXX0XX1x-?X111100001111\n"
+        "0000X01X01XX0000 1111X01X X01X1111\n"
+        "--------????????xxxxxxxx10101010\n"
+        "011001100110011001100110X1X0X1X0\n"
+        "0000000011111111000011111111X000\n"
+    )
+    COMPRESSED = (
+        "# repro test set: cells=149 patterns=1 name=compressed\n"
+        "001011000110011011011111000XX1101101011100X01X1110101XX11110X01X"
+        "11111X01X0001100101010101100011001101100011001101100011001101100"
+        "X1X0X1X00101101011011\n"
+    )
+    DECOMPRESSED = (
+        "# repro test set: cells=32 patterns=6 name=decompressed\n"
+        "00000000000000001111111101100110\n"
+        "1111000000000XX11111111100001111\n"
+        "0000X01X01XX00001111X01XX01X1111\n"
+        "00000000000000000000000010101010\n"
+        "011001100110011001100110X1X0X1X0\n"
+        "00000000111111110000111111110000\n"
+    )
+
+    def test_compress_then_decompress(self, tmp_path, capsys):
+        src = tmp_path / "golden.test"
+        src.write_text(self.SOURCE)
+        stream = tmp_path / "stream.test"
+        assert main(["compress", str(src), "--k", "8",
+                     "-o", str(stream)]) == 0
+        assert stream.read_bytes() == self.COMPRESSED.encode()
+        out = tmp_path / "out.test"
+        assert main(["decompress", str(stream), "--k", "8", "--cells", "32",
+                     "--length", "192", "-o", str(out)]) == 0
+        assert out.read_bytes() == self.DECOMPRESSED.encode()
+
+
 class TestAnalysisCommands:
     def test_sweep(self, capsys):
         assert main(["sweep", "--benchmark", "s5378"]) == 0

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core import (
     BlockCase,
+    BlockRecord,
     Codebook,
     NineCEncoder,
     PAPER_LENGTHS,
@@ -168,6 +169,60 @@ class TestCustomCodebook:
         enc = NineCEncoder(4, book)
         assert enc.select_case(TernaryVector("0001")) is BlockCase.C5
         assert enc.codebook.length(BlockCase.C5) == 4
+
+
+#: A permuted codebook: C9 takes the 1-bit word, so cost order and
+#: column order disagree.
+PERMUTED = Codebook.from_lengths(dict(zip(
+    BlockCase, [PAPER_LENGTHS[case] for case in reversed(BlockCase)]
+)))
+
+
+@pytest.mark.parametrize("book", [None, PERMUTED], ids=["default", "permuted"])
+class TestBlockRecords:
+    """``encode``'s lazy records read like ``encode_reference``'s list."""
+
+    DATA = TernaryVector("00000000" "11111111" "0110X01X" "0000X0X0"
+                         "X1X10110" "01100110" "XXXXXXXX" "1111000X" "01")
+
+    @pytest.fixture
+    def pair(self, book):
+        encoder = NineCEncoder(8, book)
+        return (encoder.encode(self.DATA).blocks,
+                encoder.encode_reference(self.DATA).blocks)
+
+    def test_len_and_indexing(self, pair):
+        fast, slow = pair
+        assert len(fast) == len(slow) == 9
+        for index in range(-len(slow), len(slow)):
+            assert fast[index] == slow[index]
+            assert fast[index].stream_offset == slow[index].stream_offset
+        assert fast[-1].index == 8
+        assert fast[2:5] == slow[2:5]
+
+    @pytest.mark.parametrize("index", [9, -10, 100])
+    def test_out_of_range(self, pair, index):
+        fast, slow = pair
+        with pytest.raises(IndexError):
+            slow[index]
+        with pytest.raises(IndexError):
+            fast[index]
+
+    def test_iteration_and_equality(self, pair):
+        fast, slow = pair
+        assert list(fast) == slow
+        assert fast == slow
+        assert slow == fast
+        assert not fast != slow
+        changed = slow[:-1] + [BlockRecord(8, BlockCase.C2, slow[-1].stream_offset)]
+        assert fast != changed and changed != fast
+
+    def test_case_counts_match_reference_tally(self, book):
+        encoding = NineCEncoder(8, book).encode(self.DATA)
+        tally = {case: 0 for case in BlockCase}
+        for record in NineCEncoder(8, book).encode_reference(self.DATA).blocks:
+            tally[record.case] += 1
+        assert encoding.case_counts == tally
 
 
 class TestFastPathMatchesReference:

@@ -347,12 +347,16 @@ class TestEncodeFile:
         with pytest.raises(ValueError, match="outside"):
             parallel_encode_file(path, 8)
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="reads VmHWM from /proc")
     def test_rss_bounded_by_shard_not_file(self, tmp_path):
         # the memmap path must not pull the whole payload into memory:
-        # encoding a 12 MB file window-by-window has to grow RSS by at
-        # least half a payload less than loading the file up front does
-        # (per-block records dominate both paths equally, so the delta
-        # isolates input residency)
+        # encoding a 12 MB file window-by-window has to grow peak RSS by
+        # at least half a payload less than loading the file up front
+        # does.  Both children run the same encode, so the delta
+        # isolates input residency.  Peak RSS is the child's own VmHWM:
+        # Linux carries ru_maxrss over fork and exec, so a child of a
+        # large pytest process would read the parent's peak.
         cells, patterns = 1000, 12_000  # 12e6 cells = ~11.4 MiB payload
         payload = patterns * cells
         path = tmp_path / "big.9ct"
@@ -366,19 +370,22 @@ class TestEncodeFile:
 
         def grown(*body: str) -> int:
             script = "\n".join([
-                "import resource",
                 "import numpy as np",
                 "from repro.core.bitvec import TernaryVector",
                 "from repro.core.io import memmap_stream",
                 "from repro.parallel import parallel_encode,"
                 " parallel_encode_file",
+                "def peak_rss():",
+                "    with open('/proc/self/status') as status:",
+                "        for line in status:",
+                "            if line.startswith('VmHWM:'):",
+                "                return int(line.split()[1]) * 1024",
                 f"path = {str(path)!r}",
-                "baseline = resource.getrusage("
-                "resource.RUSAGE_SELF).ru_maxrss",
+                "baseline = peak_rss()",
                 *body,
-                "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss",
+                "peak = peak_rss()",
                 f"assert encoding.original_length == {payload}",
-                "print((peak - baseline) * 1024)",
+                "print(peak - baseline)",
             ])
             result = subprocess.run(
                 [sys.executable, "-c", script], capture_output=True,

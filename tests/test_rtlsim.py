@@ -126,6 +126,35 @@ class TestSimulatorBasics:
         assert sim.read("case_valid") == 0
         assert sim.read("ack") == 1
 
+    def test_wire_reads_follow_every_change(self):
+        # settled wires are cached; each way of changing the state
+        # must drop that cache
+        sim = self.sim
+        sim.set_inputs(rst_n=1, dec_en=0, ate_tick=1, data_in=0)
+        assert sim.read("ready") == 0
+        sim.set_inputs(dec_en=1)
+        assert sim.read("ready") == 1
+        sim.step()  # codeword "0": a C1 block, whose zeros need no data
+        assert sim.read("ready") == 0
+        sim.reset()
+        assert sim.read("ready") == 1
+        state = dict(sim.regs, case_valid=1, half_sel=0,
+                     sel_left=sim.module.localparams["SEL_ZERO"])
+        sim.regs = state
+        assert sim.read("ready") == 0
+        state["case_valid"] = 0  # the simulator keeps its own copy
+        assert sim.read("ready") == 0
+
+    def test_state_changes_only_through_the_api(self):
+        # an in-place write would bypass the wire cache, so it fails
+        sim = self.sim
+        with pytest.raises(TypeError):
+            sim.regs["case_valid"] = 1
+        with pytest.raises(TypeError):
+            sim.inputs["dec_en"] = 1
+        sim.set_inputs(dec_en=1)
+        assert sim.inputs["dec_en"] == 1
+
     def test_ready_low_during_uniform_half(self):
         sim = self.sim
         sim.set_inputs(rst_n=1, dec_en=1, ate_tick=1, data_in=0)

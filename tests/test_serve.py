@@ -540,6 +540,51 @@ class TestServiceRobustness:
             inline_config(max_inflight=1, max_queue=2, max_batch=1),
             scenario))
 
+    def test_default_queue_absorbs_a_burst(self):
+        # 8 in flight + 16 waiting used to shed the 25th request of a
+        # burst the service finishes well inside its deadlines
+        async def scenario(service, client):
+            responses = await asyncio.gather(*[
+                client.call("compress", {"data": DATA, "k": 8})
+                for _ in range(40)
+            ])
+            assert all(r["ok"] for r in responses)
+            assert service.totals["shed"] == 0
+
+        run(with_service(inline_config(), scenario))
+
+    def test_waiting_bytes_ceiling_sheds(self, monkeypatch):
+        # a flood of large frames is shed on bytes, not on count
+        data = DATA * 64
+        frame_bytes = parse_request(encode_frame(
+            {"id": "c1", "op": "compress", "params": {"data": data, "k": 8}}
+        )).frame_bytes
+        monkeypatch.setattr("repro.serve.service.MAX_WAITING_BYTES",
+                            3 * frame_bytes)
+
+        async def scenario(service, client):
+            service.fault_plan.arm(
+                ServiceFault(kind="latency", seconds=0.3, op="compress"))
+            busy = asyncio.ensure_future(
+                client.call("compress", {"data": data, "k": 8}))
+            await asyncio.sleep(0.05)  # it holds the one in-flight slot
+            responses = await asyncio.gather(*[
+                client.call("compress", {"data": data, "k": 8})
+                for _ in range(7)
+            ])
+            shed = [r for r in responses
+                    if not r["ok"] and r["error"]["code"] == "overloaded"]
+            assert len(shed) == 4  # three frames fit under the ceiling
+            assert all(r["ok"] for r in responses if r not in shed)
+            assert (await busy)["ok"]
+            assert service.totals["shed"] == 4
+            # the ceiling is released as requests leave the queue
+            after = await client.call("compress", {"data": data, "k": 8})
+            assert after["ok"]
+
+        run(with_service(inline_config(max_inflight=1, max_batch=1),
+                         scenario))
+
     def test_worker_failure_retried_to_success(self):
         async def scenario(service, client):
             service.fault_plan.arm(
